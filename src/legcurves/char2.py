@@ -6,8 +6,10 @@ computation: dividing the equation at nonzero x by x^2 turns the fiber
 into an Artin-Schreier condition, so each x contributes 2 points when
 Tr(x + beta + lambda/x^2) vanishes and 0 otherwise, with one point at
 x = 0 and one at infinity.  The count is divisible by 4 exactly on the
-beta-trace-zero class, which is the twist classification; a literal
-y-scan backs the trace route wherever the field is small enough.
+beta-trace-zero class, which is the twist classification.  Wherever
+the field is small enough (q <= _LITERAL_CAP) a literal count backs the
+trace route on every call: it reads a per-field fiber table,
+fib[x][v] = |{y : y^2 + xy = v}|, built once by full (x, y) enumeration.
 """
 
 from __future__ import annotations
@@ -58,19 +60,42 @@ def fourth_root(a):
     return char2_sqrt(char2_sqrt(a))
 
 
+def _literal_fibers(f):
+    """fib[x][v] = |{y : y^2 + x*y = v}|, filled by enumerating every
+    (x, y) pair once.  Cached on the field; only the literal
+    cross-checks (q <= _LITERAL_CAP) read it."""
+    def build():
+        q = f.q
+        mul = f._mul_func()
+        fib = []
+        for x in range(q):
+            row = [0] * q
+            for y in range(q):
+                row[mul(y, y) ^ mul(x, y)] += 1
+            fib.append(row)
+        return fib
+    return f._get("literal_fibers", build)
+
+
 def _literal_affine_count(curve):
+    """Affine points of the curve: the literal (x, y) scan, regrouped by
+    x through the fiber table."""
     f = curve.field
-    q = f.q
     mul = f._mul_func()
     bc = f.code(curve.beta)
     lc = f.code(curve.lam)
-    total = 0
-    for x in range(q):
-        rhs = mul(mul(x, x), x ^ bc) ^ lc if bc else mul(mul(x, x), x) ^ lc
-        for y in range(q):
-            if mul(y, y) ^ mul(x, y) == rhs:
-                total += 1
-    return total
+    return sum(row[mul(mul(x, x), x ^ bc) ^ lc]
+               for x, row in enumerate(_literal_fibers(f)))
+
+
+def _literal_image_count(lam):
+    """Affine points of eta^2 + xi*eta = xi^3 + lambda*xi, read off the
+    same fiber table."""
+    f = lam.field
+    mul = f._mul_func()
+    lc = f.code(lam)
+    return sum(row[mul(mul(x, x), x) ^ mul(lc, x)]
+               for x, row in enumerate(_literal_fibers(f)))
 
 
 def char2_count(curve, cap=None):
@@ -223,15 +248,8 @@ def frobenius_image_check(lam, cap=None):
         if tr[x ^ mul(lc, inv[x])] == 0:
             hits += 1
     n2 = 2 + 2 * hits
-    if q <= _LITERAL_CAP:
-        affine = 0
-        for x in range(q):
-            rhs = mul(mul(x, x), x) ^ mul(lc, x)
-            for y in range(q):
-                if mul(y, y) ^ mul(x, y) == rhs:
-                    affine += 1
-        if 1 + affine != n2:
-            raise RuntimeError(
-                f"trace and literal counts disagree on the image model "
-                f"for lambda code {lc} over GF(2^{f.n})")
+    if q <= _LITERAL_CAP and 1 + _literal_image_count(lam) != n2:
+        raise RuntimeError(
+            f"trace and literal counts disagree on the image model "
+            f"for lambda code {lc} over GF(2^{f.n})")
     return n1 == n2

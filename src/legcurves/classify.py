@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
 from .curve import legendre_count_table
-from .field import Fe, field_of_order
+from .field import field_of_order
 
 EXCLUDED_NOT_DIV4 = "not divisible by 4"
 EXCLUDED_EXCEPTION = "maximal/minimal exception (r+1)^2"

@@ -449,10 +449,6 @@ ALL_SUITES = (
 )
 
 
-def _odd_primes(limit):
-    return [p for p in odd_prime_powers(limit) if field_of_order(p).n == 1]
-
-
 def run_verify_all(scale, out=None):
     lines = []
     bad = 0

@@ -17,9 +17,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import isqrt, lcm
+from math import lcm
 
-from .field import DEFAULT_ENUMERATION_CAP, Fe, prime_factors, sqrt
+from .field import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    prime_factors,
+    sqrt,
+)
 
 
 class Point:
@@ -177,7 +182,6 @@ class Curve:
         in lexicographic order and the canonical square root first."""
         f = self.field
         if f.q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-            from .field import EnumerationCapError
             raise EnumerationCapError(
                 f"point enumeration over {f!r} exceeds the cap")
         chi = f._chi_codes()
@@ -203,7 +207,6 @@ class Curve:
         f = self.field
         q = f.q
         if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-            from .field import EnumerationCapError
             raise EnumerationCapError(f"counting over {f!r} exceeds the cap")
         chi = f._chi_codes()
         code = f.code
@@ -228,7 +231,6 @@ class Curve:
         over unchanged."""
         f = self.field
         if f.q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-            from .field import EnumerationCapError
             raise EnumerationCapError(
                 f"group structure over {f!r} exceeds the cap")
         codes = tuple(f.code(r) for r in self.monic_roots())
@@ -404,7 +406,6 @@ def legendre_count_table(field, cap=None):
     one multiply and one character lookup per (lambda, x) pair."""
     q = field.q
     if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-        from .field import EnumerationCapError
         raise EnumerationCapError(f"lambda sweep over {field!r} exceeds the cap")
     chi = field._chi_codes()
     out = {}
@@ -630,16 +631,16 @@ def verify_twist_counts(field, cap=None, sample=5):
     add, sub, mul = _code_ops(f)
     chi = f._chi_codes()
     d0c = f.code(d0)
+    # independent count: hits[v] = |{y : delta*y^2 = v}| over every y, so
+    # the literal (x, y) scan of each twist is a sum of lookups by x
+    hits = [0] * q
+    for y in range(q):
+        hits[mul(d0c, mul(y, y))] += 1
     for lamc, n in table.items():
         e = legendre(f, f.from_code(lamc))
         tw = twist(e, d0)
-        # independent count: solve delta*y^2 = f(x) pointwise
-        affine = 0
-        for x in range(q):
-            v = mul(mul(x, sub(x, 1)), sub(x, lamc))
-            for y in range(q):
-                if mul(d0c, mul(y, y)) == v:
-                    affine += 1
+        affine = sum(hits[mul(mul(x, sub(x, 1)), sub(x, lamc))]
+                     for x in range(q))
         if n + affine + 1 != 2 * q + 2:
             failures.append(
                 f"q={q} lambda={lamc}: twist counts sum to {n + affine + 1}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 MAX_CHARACTERISTIC = 1 << 20

@@ -5,6 +5,8 @@ import pytest
 
 from legcurves.char2 import (
     Char2Curve,
+    _literal_affine_count,
+    _literal_image_count,
     char2_count,
     char2_is_isomorphic,
     char2_sqrt,
@@ -14,7 +16,7 @@ from legcurves.char2 import (
     verify_char2_prop,
     verify_odd_intersection,
 )
-from legcurves.field import make_field, trace2
+from legcurves.field import Field, make_field, trace2
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -31,6 +33,19 @@ def trace_count(field, beta, lam):
         if trace2(x + beta + lam * (x * x).inv()) == 0:
             hits += 1
     return 2 + 2 * hits
+
+
+def nested_loop_count(field, rhs):
+    """Oracle: affine points of y^2 + xy = rhs(x) by a plain loop over
+    every element pair, no tables."""
+    elems = list(field.elements())
+    total = 0
+    for x in elems:
+        r = rhs(x)
+        for y in elems:
+            if y * y + x * y == r:
+                total += 1
+    return total
 
 
 class TestConstruction:
@@ -102,6 +117,33 @@ class TestCount:
                     beta = field.from_code(bc)
                     e = Char2Curve(field, beta, lam)
                     assert char2_count(e) == trace_count(field, beta, lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fiber_table_matches_nested_loop(self, n):
+        f = make_field(2, n)
+        for lc in range(1, f.q):
+            lam = f.from_code(lc)
+            for bc in range(f.q):
+                beta = f.from_code(bc)
+                want = nested_loop_count(f, lambda x: x * x * (x + beta) + lam)
+                e = Char2Curve(f, beta, lam)
+                assert _literal_affine_count(e) == want
+                assert char2_count(e) == 1 + want
+
+    @pytest.mark.parametrize("check", [
+        lambda lam: char2_count(Char2Curve(lam.field, 0, lam)),
+        frobenius_image_check,
+    ], ids=["count", "image"])
+    def test_corrupt_trace_table_is_caught(self, check):
+        f = Field(2, 6)  # fresh, so the interned GF(2^6) keeps good tables
+        f._trace_codes()[5] ^= 1
+        raised = 0
+        for lc in range(1, f.q):
+            try:
+                check(f.from_code(lc))
+            except RuntimeError:
+                raised += 1
+        assert raised
 
     def test_divisible_by_four_iff_trace_zero_beta(self):
         for lc in range(1, 16):
@@ -222,7 +264,10 @@ class TestFrobeniusImage:
     def test_sweep(self, n):
         f = make_field(2, n)
         for lc in range(1, f.q):
-            assert frobenius_image_check(f.from_code(lc))
+            lam = f.from_code(lc)
+            assert frobenius_image_check(lam)
+            assert _literal_image_count(lam) == nested_loop_count(
+                f, lambda x: x * x * x + lam * x)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

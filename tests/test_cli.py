@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +190,8 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "legcurves", "count", "--q", "5",
              "--format", "csv"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            # run the package the tests import, installed or not
+            cwd=Path(cli.__file__).resolve().parents[1])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "5,1,2,8"

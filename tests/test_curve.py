@@ -18,6 +18,7 @@ from legcurves import (
     sqrt,
     twist,
 )
+from legcurves import curve as curve_module
 from legcurves.curve import (
     verify_class_sizes,
     verify_four_torsion_equivalence,
@@ -200,6 +201,18 @@ class TestTwists:
                              ids=lambda f: f"q{f.q}")
     def test_twist_count_sweep(self, field):
         assert verify_twist_counts(field) == []
+
+    @pytest.mark.parametrize("field", [F7, F9], ids=lambda f: f"q{f.q}")
+    def test_twist_count_sweep_catches_a_wrong_count(self, field, monkeypatch):
+        real = curve_module.legendre_count_table
+
+        def one_count_off(f, cap=None):
+            table = real(f, cap)
+            table[next(iter(table))] += 1
+            return table
+        monkeypatch.setattr(curve_module, "legendre_count_table", one_count_off)
+        failures = verify_twist_counts(field)
+        assert any("twist counts sum" in msg for msg in failures)
 
 
 class TestOrbit:
