@@ -86,41 +86,32 @@ def _attained_counts(f, cap=None):
     chi = f._chi_codes()
     add = f._add_func()
     mul = f._mul_func()
-    neg = f._neg_codes()
     xs = range(q)
-    if f.p >= 5:
-        # y^2 = x^3 + a*x + b, discriminant 4a^3 + 27b^2 != 0
-        c4, c27 = f.code(f(4)), f.code(f(27))
-        for a in range(q):
-            g = [add(mul(mul(x, x), x), mul(a, x)) for x in xs]
-            a3 = mul(c4, mul(a, mul(a, a)))
-            for b in range(q):
-                if add(a3, mul(c27, mul(b, b))) == 0:
-                    continue
-                n = q + 1 + sum(chi[add(v, b)] for v in g)
-                remaining.discard(n)
-            if not remaining:
-                break
-    else:
+
+    def families():
+        # (g, bs): the curves y^2 = g(x) + b for b in bs
+        if f.p >= 5:
+            # y^2 = x^3 + a*x + b, discriminant 4a^3 + 27b^2 != 0
+            c4, c27 = f.code(f(4)), f.code(f(27))
+            for a in range(q):
+                a3 = mul(c4, mul(a, mul(a, a)))
+                yield ([add(mul(mul(x, x), x), mul(a, x)) for x in xs],
+                       [b for b in range(q) if add(a3, mul(c27, mul(b, b)))])
+            return
         # characteristic 3: the cube is additive, so the x^2 term cannot
         # be removed; sweep y^2 = x^3 + a*x^2 + b (a, b != 0) for the
         # curves with a quadratic term and y^2 = x^3 + a*x + b (a != 0)
         # for the rest
         for a in range(1, q):
-            g = [mul(mul(x, x), add(x, a)) for x in xs]
-            for b in range(1, q):
-                n = q + 1 + sum(chi[add(v, b)] for v in g)
-                remaining.discard(n)
-            if not remaining:
-                break
-        if remaining:
-            for a in range(1, q):
-                g = [add(mul(mul(x, x), x), mul(a, x)) for x in xs]
-                for b in range(q):
-                    n = q + 1 + sum(chi[add(v, b)] for v in g)
-                    remaining.discard(n)
-                if not remaining:
-                    break
+            yield [mul(mul(x, x), add(x, a)) for x in xs], range(1, q)
+        for a in range(1, q):
+            yield [add(mul(mul(x, x), x), mul(a, x)) for x in xs], range(q)
+
+    for g, bs in families():
+        for b in bs:
+            remaining.discard(q + 1 + sum(chi[add(v, b)] for v in g))
+        if not remaining:
+            break
     return set(range(lo, hi + 1)) - remaining
 
 

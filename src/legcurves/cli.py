@@ -73,6 +73,10 @@ class RunConfig:
             raise ValueError("empty range: nothing to do")
         if self.jobs < 1:
             raise ValueError("--jobs must be at least 1")
+        if self.cap is not None and self.cap > DEFAULT_ENUMERATION_CAP:
+            raise ValueError(
+                f"--max-q {self.cap} is above the table cap "
+                f"{DEFAULT_ENUMERATION_CAP}, which every table build keeps")
         if self.cap is not None and self.values:
             need = min(self.values)
             if self.command in ("supersingular",):

@@ -2,15 +2,20 @@
 fields, stored in split-root form: delta*y^2 = (x-alpha)(x-beta)(x-gamma).
 
 Nonsingularity is the statement that the three roots are distinct, so it
-is checked at construction.  The chord-tangent group law is evaluated
-directly on the twisted model (the twist coefficient enters the slope
-term only), point counting goes through the quadratic character, and the
-isomorphism test does an explicit coordinate-change search, which stays
-affordable at desk scale and has no special cases at j = 0 or 1728.
+is checked at construction.  The chord-tangent law on `Fe` points
+(`Curve.add`, `Curve.multiply`) is evaluated directly on the twisted
+model (the twist coefficient enters the slope term only); it is the
+public law, and `verify_group_law` checks it.  The isomorphism test does
+an explicit coordinate-change search, which stays affordable at desk
+scale and has no special cases at j = 0 or 1728.
 
-The verify_* sweeps at the bottom are exhaustive oracles used by the
-test suite and the CLI; they work on integer element codes with the
-field lookup tables to keep full sweeps over all curves cheap.
+Point enumeration, point counting, group structure and the 2-descent
+sweep share the three primitives of the integer-code engine, which work
+on element codes with the field lookup tables: `_cubic_codes` (the cubic
+at every x), `_affine_codes` (the affine points, in the order
+`Curve.points` returns them) and `_chord_tangent` (the group law of a
+monic model on code pairs).  The verify_* sweeps at the bottom are
+exhaustive oracles used by the test suite and the CLI.
 """
 
 from __future__ import annotations
@@ -184,40 +189,22 @@ class Curve:
         if f.q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
             raise EnumerationCapError(
                 f"point enumeration over {f!r} exceeds the cap")
-        chi = f._chi_codes()
-        sq = f._sqrt_codes()
-        dinv = None if self.delta == f.one else self.delta.inv()
-        out = [INFINITY]
-        for x in f.elements(cap):
-            v = self.rhs(x)
-            if dinv is not None:
-                v = v * dinv
-            c = f.code(v)
-            s = chi[c]
-            if s == 0:
-                out.append(Point(x, f.zero))
-            elif s == 1:
-                y = f.from_code(sq[c])
-                out.append(Point(x, y))
-                out.append(Point(x, -y))
-        return out
+        roots = tuple(f.code(r) for r in self.roots)
+        dinv = f.code(self.delta.inv())
+        fc = f.from_code
+        return [INFINITY] + [Point(fc(x), fc(y))
+                             for x, y in _affine_codes(f, roots, dinv)]
 
     def count_points(self, cap=None):
-        """q + 1 + sum over x of chi(delta * f(x))."""
+        """q + 1 + sum over x of chi(delta * f(x)), taken on the monic
+        model: chi(d^3 f(x/d)) = chi(d f(x)) because chi(d^2) = 1."""
         f = self.field
         q = f.q
         if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
             raise EnumerationCapError(f"counting over {f!r} exceeds the cap")
         chi = f._chi_codes()
-        code = f.code
-        d = None if self.delta == f.one else self.delta
-        total = 0
-        for x in f.elements(cap):
-            v = self.rhs(x)
-            if d is not None:
-                v = v * d
-            total += chi[code(v)]
-        n = q + 1 + total
+        roots = tuple(f.code(r) for r in self.monic_roots())
+        n = q + 1 + sum(chi[v] for v in _cubic_codes(f, roots))
         t = q + 1 - n
         if t * t > 4 * q:
             raise RuntimeError(f"count {n} violates the Hasse bound for q={q}")
@@ -437,48 +424,54 @@ def legendre_count_table(field, cap=None):
 # integer-code engine shared by the exhaustive sweeps
 
 
-def _code_ops(field):
+def _cubic_codes(field, roots):
+    """v[x] = (x-ra)(x-rb)(x-rc) for every element code x."""
+    ra, rb, rc = roots
     if field.n == 1:
         p = field.p
-
-        def add(a, b):
-            return (a + b) % p
-
-        def sub(a, b):
-            return (a - b) % p
-
-        def mul(a, b):
-            return a * b % p
-    else:
-        add = field._add_func()
-        mul = field._mul_func()
-        negl = field._neg_codes()
-
-        def sub(a, b, _add=add, _n=negl):
-            return _add(a, _n[b])
-    return add, sub, mul
+        return [(x - ra) * (x - rb) * (x - rc) % p for x in range(p)]
+    sub = field._sub_func()
+    mul = field._mul_func()
+    return [mul(mul(sub(x, ra), sub(x, rb)), sub(x, rc))
+            for x in range(field.q)]
 
 
-def _group_structure_codes(field, roots):
-    add, sub, mul = _code_ops(field)
+def _affine_codes(field, roots, dinv=1):
+    """Affine points of delta*y^2 = (x-ra)(x-rb)(x-rc) as (x, y) code
+    pairs, dinv the code of 1/delta: x in lexicographic order, and the
+    canonical square root before its negative."""
     chi = field._chi_codes()
     sq = field._sqrt_codes()
+    neg = field._neg_codes()
+    v = _cubic_codes(field, roots)
+    if dinv != 1:
+        mul = field._mul_func()
+        v = [mul(dinv, c) for c in v]
+    out = []
+    for x in field._lex_codes():
+        c = v[x]
+        s = chi[c]
+        if s == 0:
+            out.append((x, 0))
+        elif s == 1:
+            y = sq[c]
+            out.append((x, y))
+            out.append((x, neg[y]))
+    return out
+
+
+def _chord_tangent(field, roots):
+    """The group law of y^2 = (x-ra)(x-rb)(x-rc) on (x, y) code pairs,
+    with None for infinity."""
+    add = field._add_func()
+    sub = field._sub_func()
+    mul = field._mul_func()
     inv = field._inv_codes()
     neg = field._neg_codes()
     ra, rb, rc = roots
     two = field.code(field(2))
     s1 = add(add(ra, rb), rc)
     s2 = add(add(mul(ra, rb), mul(ra, rc)), mul(rb, rc))
-    affine = []
-    for x in range(field.q):
-        v = mul(mul(sub(x, ra), sub(x, rb)), sub(x, rc))
-        s = chi[v]
-        if s == 0:
-            affine.append((x, 0))
-        elif s == 1:
-            y = sq[v]
-            affine.append((x, y))
-            affine.append((x, neg[y]))
 
     def eadd(p1, p2):
         if p1 is None:
@@ -497,6 +490,12 @@ def _group_structure_codes(field, roots):
             m = mul(sub(y2, y1), inv[sub(x2, x1)])
         x3 = sub(sub(add(mul(m, m), s1), x1), x2)
         return x3, neg[add(y1, mul(m, sub(x3, x1)))]
+    return eadd
+
+
+def _group_structure_codes(field, roots):
+    affine = _affine_codes(field, roots)
+    eadd = _chord_tangent(field, roots)
 
     def emul(point, k):
         acc = None
@@ -527,39 +526,21 @@ def _group_structure_codes(field, roots):
     return (d1, exponent)
 
 
-def _doubling_image(field, roots, ops):
-    """(affine point set, image of doubling) for the monic curve with the
+def _doubling_image(field, roots):
+    """(affine points, image of doubling) for the monic curve with the
     given root codes; points are (x, y) code pairs, infinity is None."""
-    add, sub, mul = ops
-    chi = field._chi_codes()
-    sq = field._sqrt_codes()
-    inv = field._inv_codes()
+    affine = _affine_codes(field, roots)
+    eadd = _chord_tangent(field, roots)
     neg = field._neg_codes()
-    ra, rb, rc = roots
-    two = field.code(field(2))
-    s1 = add(add(ra, rb), rc)
-    s2 = add(add(mul(ra, rb), mul(ra, rc)), mul(rb, rc))
-    affine = []
-    half = []
-    for x in range(field.q):
-        v = mul(mul(sub(x, ra), sub(x, rb)), sub(x, rc))
-        s = chi[v]
-        if s == 0:
-            affine.append((x, 0))
-        elif s == 1:
-            y = sq[v]
-            affine.append((x, y))
-            affine.append((x, neg[y]))
-            half.append((x, y))
     image = {None}
-    for x, y in half:
-        x2 = mul(x, x)
-        fp = add(sub(add(add(x2, x2), x2), mul(two, mul(s1, x))), s2)
-        m = mul(fp, inv[mul(two, y)])
-        x3 = sub(add(mul(m, m), s1), add(x, x))
-        y3 = neg[add(y, mul(m, sub(x3, x)))]
-        image.add((x3, y3))
-        image.add((x3, neg[y3]))
+    last = None
+    for x, y in affine:
+        # double the first point of each +-P pair only: 2(-P) = -2P
+        if y and x != last:
+            x3, y3 = eadd((x, y), (x, y))
+            image.add((x3, y3))
+            image.add((x3, neg[y3]))
+        last = x
     return affine, image
 
 
@@ -628,7 +609,7 @@ def verify_twist_counts(field, cap=None, sample=5):
     failures = []
     d0 = f.from_code(_first_nonsquare_code(f))
     table = legendre_count_table(f, cap)
-    add, sub, mul = _code_ops(f)
+    mul = f._mul_func()
     chi = f._chi_codes()
     d0c = f.code(d0)
     # independent count: hits[v] = |{y : delta*y^2 = v}| over every y, so
@@ -639,8 +620,7 @@ def verify_twist_counts(field, cap=None, sample=5):
     for lamc, n in table.items():
         e = legendre(f, f.from_code(lamc))
         tw = twist(e, d0)
-        affine = sum(hits[mul(mul(x, sub(x, 1)), sub(x, lamc))]
-                     for x in range(q))
+        affine = sum(hits[v] for v in _cubic_codes(f, (0, 1, lamc)))
         if n + affine + 1 != 2 * q + 2:
             failures.append(
                 f"q={q} lambda={lamc}: twist counts sum to {n + affine + 1}")
@@ -672,26 +652,25 @@ def verify_two_descent_kernel(field):
     """
     f = field
     q = f.q
-    ops = _code_ops(f)
+    sub = f._sub_func()
     chi = f._chi_codes()
     failures = []
     for roots in itertools.combinations(range(q), 3):
-        _, image = _doubling_image(f, roots, ops)
+        _, image = _doubling_image(f, roots)
         ra, rb, rc = roots
         for g, o1, o2 in ((ra, rb, rc), (rb, ra, rc), (rc, ra, rb)):
             member = (g, 0) in image
-            squares = (chi[ops[1](g, o1)] == 1 and chi[ops[1](g, o2)] == 1)
+            squares = (chi[sub(g, o1)] == 1 and chi[sub(g, o2)] == 1)
             if member != squares:
                 failures.append(
                     f"q={q} roots={roots}: 2-torsion point at {g} is "
                     f"{'a' if member else 'not a'} double but the square "
                     f"test says otherwise")
-    sub = ops[1]
     for lamc in range(q):
         if lamc in (0, 1):
             continue
         roots = (0, 1, lamc)
-        affine, image = _doubling_image(f, roots, ops)
+        affine, image = _doubling_image(f, roots)
         for x, y in affine:
             vals = [chi[sub(x, r)] for r in roots]
             if 0 in vals:
@@ -711,20 +690,15 @@ def verify_nonsquare_twist_isomorphism(field, cap=None):
     since a self-twist-isomorphic curve must have q + 1 points."""
     f = field
     q = f.q
-    add, sub, mul = _code_ops(f)
     chi = f._chi_codes()
     failures = []
     d0c = _first_nonsquare_code(f)
     d0 = f.from_code(d0c)
     j1728 = f(1728)
     for roots in itertools.combinations(range(q), 3):
-        ra, rb, rc = roots
-        total = 0
-        for x in range(q):
-            total += chi[mul(mul(sub(x, ra), sub(x, rb)), sub(x, rc))]
-        if q + 1 + total != q + 1:
+        if sum(chi[v] for v in _cubic_codes(f, roots)):
             continue
-        e = Curve(f, f.from_code(ra), f.from_code(rb), f.from_code(rc))
+        e = Curve(f, *map(f.from_code, roots))
         if not _root_transform_exists(f, e.roots,
                                       tuple(d0 * r for r in e.roots)):
             continue

@@ -370,6 +370,18 @@ class Field:
             return c
         return add
 
+    def _sub_func(self):
+        if self.n == 1:
+            p = self.p
+            return lambda a, b: (a - b) % p
+        neg = self._neg_codes()
+        if self.p != 2 and self.q <= _ADD_TABLE_MAX:
+            # one table read, not a nested add call: sweeps call this per x
+            table = self._add_table()
+            return lambda a, b: table[a][neg[b]]
+        add = self._add_func()
+        return lambda a, b: add(a, neg[b])
+
     def _add_table(self):
         def build():
             self._check_cap()
@@ -678,8 +690,8 @@ def _make_field(p, n):
     return Field(p, n)
 
 
-def make_field(p, n=1, seed=0):
-    """Deterministic field constructor; `seed` is reserved and unused."""
+def make_field(p, n=1):
+    """Deterministic field constructor; equal (p, n) give the same object."""
     return _make_field(p, n)
 
 

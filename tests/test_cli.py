@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -135,6 +136,7 @@ class TestUsageErrors:
         ["count", "--q", "9", "--max-q", "5"],
         ["classify", "--q", "9", "--jobs", "0"],
         ["nonsense"],
+        ["count", "--q", "9", "--max-q", "2097152"],
     ])
     def test_exit_two(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -147,6 +149,44 @@ class TestUsageErrors:
         monkeypatch.setattr(classify, "census", boom)
         assert run_main(["classify", "--q", "9"]) == 1
         assert "synthetic breakage" in capsys.readouterr().err
+
+
+# sha256 of each command's stdout; the table bytes must stay the same
+# whenever the arithmetic underneath is reworked
+GOLDEN_DIGESTS = [
+    ("classify --q-max 50", "json",
+     "8110391d7ab939aaee5c319f802b602f646838349d0b73d5411cc8872618ed87"),
+    ("classify --q-max 50", "csv",
+     "0f48dfd2393ce7aa35e0f52685ddd2d975f14f378ca34854e97ecea0ca375428"),
+    ("census --q-max 50", "json",
+     "ccd11f081497d9aecea5338932bb6d99093dab8c145e2493ff2fc3204a85c0b7"),
+    ("census --q-max 50", "csv",
+     "0e790195c643463a095f8248e3aca86a56fc8ced04c38c89ebf2585db1a71403"),
+    ("stats --q-max 50", "json",
+     "31ba53ad413d60531c59f2792dcf858f909b046c2e53356680894df099ccdfd1"),
+    ("stats --q-max 50", "csv",
+     "63a2ceb55bc04a4cb698119a3a1133378e714dfd9cdf0ea5a9b6cf882d35b42c"),
+    ("count --q 27", "json",
+     "1bed74a64524fd20c30510c372cd9e890b83b33edc7ba481b48be7a39d8a9bcf"),
+    ("count --q 27", "csv",
+     "f003196f4021afb736ab5a31ce6ac94096d05c604def8a6d8b4cd2f07d9135ec"),
+    ("char2 --n-max 4", "json",
+     "31546722fbb9772ded76fafa69fa0d2bcafd09790f68b9a26c644648bceb3905"),
+    ("char2 --n-max 4", "csv",
+     "ffe50e33089bbc853a6a1ac2743ab6dfb944d80edba18e3919f731d9ebb16d68"),
+    ("supersingular --p-max 31", "json",
+     "5166c605304721abdade0aa7e5995460edb57c765db1268e4fcb01bab0599b6f"),
+    ("supersingular --p-max 31", "csv",
+     "20310c8ebc682853132349315d1aafeab2281fe905e641978c0a9f0ef31fa742"),
+]
+
+
+@pytest.mark.parametrize("command, fmt, digest", GOLDEN_DIGESTS,
+                         ids=[f"{c.split()[0]}-{f}" for c, f, _ in GOLDEN_DIGESTS])
+def test_golden_bytes(command, fmt, digest, capsys):
+    assert run_main(command.split() + ["--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from legcurves import (
@@ -110,9 +112,13 @@ class TestCounting:
             assert e.count_points() == naive_count(e)
 
     def test_twisted_count_matches_naive_oracle(self):
-        for d in (2, 3, 4):
-            e = twist(legendre(F13, 5), d)
-            assert e.count_points() == naive_count(e)
+        for curve, deltas in [
+                (legendre(F13, 5), (2, 3, 4)),
+                (legendre(F25, F25((2, 1))), ((0, 1), 2, (1, 1))),
+                (legendre(F27, F27((0, 1, 0))), ((0, 0, 2), (0, 1, 1), 2))]:
+            for d in deltas:
+                e = twist(curve, d)
+                assert e.count_points() == naive_count(e)
 
     def test_counts_divisible_by_four(self):
         for field in (F5, F7, F9, F11, F13, F25, F27):
@@ -134,6 +140,21 @@ class TestCounting:
         assert pts == e.points()
         xs = [p.x for p in pts[1:]]
         assert xs == sorted(xs)
+
+    @pytest.mark.parametrize("field", [F9, F25, F27], ids=lambda f: f"q{f.q}")
+    def test_points_order_on_nonsquare_twists(self, field):
+        els = list(field.elements())
+        d = next(d for d in els if d and quadratic_character(d) == -1)
+        for roots in itertools.combinations(els[:5], 3):
+            e = Curve(field, *roots, d)
+            expected = [INFINITY]
+            for x in els:
+                y = sqrt(e.rhs(x) / d)
+                if y is not None:
+                    expected.append(Point(x, y))
+                    if y:
+                        expected.append(Point(x, -y))
+            assert e.points() == expected
 
 
 class TestGroupLaw:
@@ -180,6 +201,20 @@ class TestGroupLaw:
             for code in legendre_count_table(field):
                 d1, d2 = legendre(field, field.from_code(code)).group_structure()
                 assert d1 % 2 == 0 and d2 % d1 == 0
+
+    @pytest.mark.parametrize("field", [F7, F9], ids=lambda f: f"q{f.q}")
+    def test_code_law_matches_fe_law(self, field):
+        # the integer-code law of the sweeps against the public Fe law,
+        # on every monic curve and every ordered pair of points
+        def code(pt):
+            return None if pt.is_infinity else (field.code(pt.x),
+                                                field.code(pt.y))
+        for roots in itertools.combinations(range(field.q), 3):
+            e = Curve(field, *map(field.from_code, roots))
+            eadd = curve_module._chord_tangent(field, roots)
+            pts = e.points()
+            for p1, p2 in itertools.product(pts, pts):
+                assert eadd(code(p1), code(p2)) == code(e._add(p1, p2))
 
     @pytest.mark.parametrize("field", [F3, F5, F7, F9, F11, F13],
                              ids=lambda f: f"q{f.q}")
