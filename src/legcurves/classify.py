@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
-from .curve import legendre_count_table
+from .curve import _chi_shift_sums, legendre_count_table
 from .field import field_of_order
 
 EXCLUDED_NOT_DIV4 = "not divisible by 4"
@@ -79,11 +79,14 @@ class ClassRecord:
 
 def _attained_counts(f, cap=None):
     """Set of point counts realized by elliptic curves over F_q, by
-    enumeration with early exit once every interval value has shown up."""
+    enumeration with early exit once every interval value has shown up.
+
+    The curves come in families y^2 = g(x) + b.  With H the histogram of
+    g's values, the character sum of each b is sum over v of
+    H[v] * chi(v + b), so one `_chi_shift_sums` call counts a family."""
     q = f.q
     lo, hi = hasse_interval(q)
     remaining = set(range(lo, hi + 1))
-    chi = f._chi_codes()
     add = f._add_func()
     mul = f._mul_func()
     xs = range(q)
@@ -108,8 +111,11 @@ def _attained_counts(f, cap=None):
             yield [add(mul(mul(x, x), x), mul(a, x)) for x in xs], range(q)
 
     for g, bs in families():
-        for b in bs:
-            remaining.discard(q + 1 + sum(chi[add(v, b)] for v in g))
+        hist = [0] * q
+        for v in g:
+            hist[v] += 1
+        sums = _chi_shift_sums(f, hist)
+        remaining.difference_update([q + 1 + sums[b] for b in bs])
         if not remaining:
             break
     return set(range(lo, hi + 1)) - remaining

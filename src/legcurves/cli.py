@@ -23,6 +23,7 @@ from .curve import (
     verify_four_torsion_equivalence,
     verify_group_law,
     verify_nonsquare_twist_isomorphism,
+    verify_shift_sums,
     verify_two_descent_kernel,
     verify_twist_counts,
 )
@@ -419,6 +420,7 @@ def suite_infrastructure(scale="full"):
         f = field_of_order(q)
         failures.extend(verify_group_law(f))
         failures.extend(verify_twist_counts(f))
+        failures.extend(verify_shift_sums(f))
     # determinism: the same config must render identical bytes whether
     # rows are built serially, in a pool, or on a second run
     qs = list(odd_prime_powers(25))

@@ -14,15 +14,21 @@ sweep share the three primitives of the integer-code engine, which work
 on element codes with the field lookup tables: `_cubic_codes` (the cubic
 at every x), `_affine_codes` (the affine points, in the order
 `Curve.points` returns them) and `_chord_tangent` (the group law of a
-monic model on code pairs).  The verify_* sweeps at the bottom are
-exhaustive oracles used by the test suite and the CLI.
+monic model on code pairs).  The lambda-line count table and the
+all-curves oracle of `classify` share a fourth, `_chi_shift_sums`: the
+character sums sum_v w[v] * chi(v + b) for every b at once, from one
+exact product of two packed integers.  The verify_* sweeps at the
+bottom are exhaustive oracles used by the test suite and the CLI.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from math import lcm
+import operator
 
 from .field import (
     DEFAULT_ENUMERATION_CAP,
@@ -30,6 +36,10 @@ from .field import (
     prime_factors,
     sqrt,
 )
+
+# Packed operands of `_chi_shift_sums` hold at most this many slots per
+# field element; larger layouts move top digits to an outer loop.
+_PACK_RATIO = 32
 
 
 class Point:
@@ -388,40 +398,138 @@ def is_legendre_isomorphic(curve, cap=None):
 
 def legendre_count_table(field, cap=None):
     """{lambda code: point count} for every lambda outside {0, 1}, keys
-    in lexicographic element order.  x(x-1)(x-lambda) is evaluated as
-    A(x) - lambda*B(x) with A = x^2(x-1), B = x(x-1), so the sweep costs
-    one multiply and one character lookup per (lambda, x) pair."""
+    in lexicographic element order.  The count is q + 1 + the sum over
+    x of chi(x(x-1)) * chi(x - lambda), so the whole table is one call
+    of `_chi_shift_sums` with w[x] = chi(x(x-1)), read at b = -lambda.
+    Raises RuntimeError if a count breaks the Hasse bound."""
     q = field.q
     if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
         raise EnumerationCapError(f"lambda sweep over {field!r} exceeds the cap")
+    p = field.p
     chi = field._chi_codes()
-    out = {}
-    if field.n == 1:
-        p = field.p
-        chi2 = chi + chi
-        ab = []
-        for x in range(p):
-            b = x * (x - 1) % p
-            ab.append((x * b % p, b))
-        for lam in range(2, p):
-            out[lam] = p + 1 + sum(chi2[a - lam * b % p] for a, b in ab)
-        return out
     mul = field._mul_func()
-    add = field._add_func()
+    # x - 1 on codes: only the constant digit changes, and 0 - 1 = p - 1
+    sums = _chi_shift_sums(
+        field, [chi[mul(x, x - 1 if x % p else x + p - 1)] for x in range(q)])
     neg = field._neg_codes()
-    ab = []
-    for x in range(q):
-        b = mul(x, add(x, neg[1]))
-        ab.append((mul(x, b), b))
+    out = {}
     for lam in field._lex_codes():
         if lam == 0 or lam == 1:
             continue
-        out[lam] = q + 1 + sum(chi[add(a, neg[mul(lam, b)])] for a, b in ab)
+        t = sums[neg[lam]]
+        if t * t > 4 * q:
+            raise RuntimeError(f"count {q + 1 + t} at lambda code {lam} "
+                               f"violates the Hasse bound for q={q}")
+        out[lam] = q + 1 + t
     return out
 
 
 # ---------------------------------------------------------------------------
 # integer-code engine shared by the exhaustive sweeps
+
+
+def _moved_digits(p, n):
+    """The number k of top base-p digits that `_chi_shift_sums` sums in
+    an outer loop: the least k with (2p-1)^(n-k) <= _PACK_RATIO * p^n."""
+    k = 0
+    while (2 * p - 1) ** (n - k) > _PACK_RATIO * p ** n:
+        k += 1
+    return k
+
+
+def _spread(vals, p, digits, negate):
+    """Slot list with vals[u] at slot sum(e_i * (2p-1)^i), where e is the
+    base-p digit vector of u (of -u when negate) and the gaps are 0:
+    ((2p-1)^digits + 1) / 2 slots."""
+    if digits == 1:
+        return vals[:1] + vals[:0:-1] if negate else list(vals)
+    size = p ** (digits - 1)
+    stride = (2 * p - 1) ** (digits - 1)
+    gap = [0] * (stride // 2)
+    out = []
+    for e in range(p):
+        d = -e % p if negate else e
+        if e:
+            out += gap
+        out += _spread(vals[d * size:(d + 1) * size], p, digits - 1, negate)
+    return out
+
+
+def _fold(slots, p, digits):
+    """Code-ordered sums of a product of two `_spread` operands: the slot
+    with digits e (each at most 2p - 2) adds into the code with digits
+    e_i mod p.  Each pass folds the lowest packed digit (e and e + p,
+    for e + p <= 2p - 2) and moves it to the top, so after `digits`
+    passes the list is indexed by code."""
+    s = 2 * p - 1
+    for _ in range(digits):
+        rows = len(slots) // s
+        out = [0] * (rows * p)
+        if rows >= p:
+            for d in range(p - 1):
+                out[d * rows:(d + 1) * rows] = map(
+                    operator.add, slots[d::s], slots[d + p::s])
+            out[(p - 1) * rows:] = slots[p - 1::s]
+        else:
+            for r in range(rows):
+                row = slots[r * s:(r + 1) * s]
+                out[r::rows] = [*map(operator.add, row, row[p:]), row[p - 1]]
+        slots = out
+    return slots
+
+
+def _digit_add(a, b, p):
+    """The code of a + b: base-p digits add mod p."""
+    c = 0
+    scale = 1
+    while a or b:
+        c += (a + b) % p * scale
+        a //= p
+        b //= p
+        scale *= p
+    return c
+
+
+def _packed(slots):
+    return int.from_bytes(array("I", slots), sys.byteorder)
+
+
+def _chi_shift_sums(field, w):
+    """T[b] = sum over v of w[v] * chi(v + b) for every code b, from one
+    exact product of two packed integers (Kronecker substitution).
+
+    Each base-p digit of a code gets a slot stride of 2p - 1, so the
+    digit sums of a product never carry.  w[v] - min(w) sits at the slot
+    of -v and chi(u) + 1 at the slot of u; folding the product's digits
+    e_i and e_i + p gathers every pair with u = v + b.  That gives
+    T[b] + sum(w - min(w)), because chi sums to 0 over the field.  The
+    32-bit slots hold at most 2 * sum(w - min(w)), 4q for a character
+    weight and 2q for a histogram.
+
+    When (2p-1)^n exceeds _PACK_RATIO * q, the top `_moved_digits` digits
+    go to an outer loop: for each high part of b, the products of the
+    slices with high parts v and v + b are summed before the fold.
+    """
+    p, q = field.p, field.q
+    low = field.n - _moved_digits(p, field.n)
+    size = p ** low
+    nbytes = 4 * (2 * p - 1) ** low
+    floor = min(w)
+    a = [x - floor for x in w]
+    bias = sum(a)
+    if 2 * bias >> 32:
+        raise ValueError("weights too large for 32-bit slots")
+    c = [x + 1 for x in field._chi_codes()]
+    out = []
+    for bh in range(0, q, size):
+        acc = 0
+        for vh in range(0, q, size):
+            uh = _digit_add(vh, bh, p)
+            acc += (_packed(_spread(a[vh:vh + size], p, low, True))
+                    * _packed(_spread(c[uh:uh + size], p, low, False)))
+        slots = array("I", acc.to_bytes(nbytes, sys.byteorder)).tolist()
+        out += _fold(slots, p, low)
+    return [t - bias for t in out]
 
 
 def _cubic_codes(field, roots):
@@ -589,6 +697,34 @@ def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
                 failures.append(f"{tag}: addition is not commutative")
             if e._add(ab, c) != e._add(a, e._add(b, c)):
                 failures.append(f"{tag}: addition is not associative")
+    return failures
+
+
+def verify_shift_sums(field):
+    """`_chi_shift_sums` against the plain double loop over (b, v) with
+    the field's addition, which shares none of the kernel's packing.
+    The weights are the count table's chi(x(x-1)) and the histogram of
+    x^3 + x, a family of the all-curves oracle in every odd
+    characteristic."""
+    f = field
+    q = f.q
+    chi = f._chi_codes()
+    add = f._add_func()
+    sub = f._sub_func()
+    mul = f._mul_func()
+    cubic = [0] * q
+    for x in range(q):
+        cubic[add(mul(mul(x, x), x), x)] += 1
+    failures = []
+    for name, w in (("chi(x(x-1))", [chi[mul(x, sub(x, 1))] for x in range(q)]),
+                    ("x^3 + x histogram", cubic)):
+        got = _chi_shift_sums(f, w)
+        for b in range(q):
+            want = sum(w[v] * chi[add(v, b)] for v in range(q))
+            if got[b] != want:
+                failures.append(f"q={q} {name}: shift sum at b={b} is "
+                                f"{got[b]}, the double loop gives {want}")
+                break
     return failures
 
 

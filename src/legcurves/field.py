@@ -336,51 +336,61 @@ class Field:
             return exp, log
         return self._get("explog", build)
 
-    def _mul_func(self):
-        if self.n == 1:
-            p = self.p
-            return lambda a, b: a * b % p
-        exp, log = self._explog()
-        m = self.q - 1
+    # The arithmetic closures are built once per field and kept by `_get`
+    # as one-entry lists, so every value it stores is a sized table.
 
-        def mul(a, b):
-            if a == 0 or b == 0:
-                return 0
-            return exp[(log[a] + log[b]) % m]
-        return mul
+    def _mul_func(self):
+        def build():
+            if self.n == 1:
+                p = self.p
+                return [lambda a, b: a * b % p]
+            exp, log = self._explog()
+            m = self.q - 1
+
+            def mul(a, b):
+                if a == 0 or b == 0:
+                    return 0
+                return exp[(log[a] + log[b]) % m]
+            return [mul]
+        return self._get("mul_func", build)[0]
 
     def _add_func(self):
-        if self.n == 1:
+        def build():
+            if self.n == 1:
+                p = self.p
+                return [lambda a, b: (a + b) % p]
+            if self.p == 2:
+                return [lambda a, b: a ^ b]
+            if self.q <= _ADD_TABLE_MAX:
+                table = self._add_table()
+                return [lambda a, b: table[a][b]]
+            digits = self._digits()
             p = self.p
-            return lambda a, b: (a + b) % p
-        if self.p == 2:
-            return lambda a, b: a ^ b
-        if self.q <= _ADD_TABLE_MAX:
-            table = self._add_table()
-            return lambda a, b: table[a][b]
-        digits = self._digits()
-        p = self.p
-        n = self.n
+            n = self.n
 
-        def add(a, b):
-            da, db = digits[a], digits[b]
-            c = 0
-            for i in range(n - 1, -1, -1):
-                c = c * p + (da[i] + db[i]) % p
-            return c
-        return add
+            def add(a, b):
+                da, db = digits[a], digits[b]
+                c = 0
+                for i in range(n - 1, -1, -1):
+                    c = c * p + (da[i] + db[i]) % p
+                return c
+            return [add]
+        return self._get("add_func", build)[0]
 
     def _sub_func(self):
-        if self.n == 1:
-            p = self.p
-            return lambda a, b: (a - b) % p
-        neg = self._neg_codes()
-        if self.p != 2 and self.q <= _ADD_TABLE_MAX:
-            # one table read, not a nested add call: sweeps call this per x
-            table = self._add_table()
-            return lambda a, b: table[a][neg[b]]
-        add = self._add_func()
-        return lambda a, b: add(a, neg[b])
+        def build():
+            if self.n == 1:
+                p = self.p
+                return [lambda a, b: (a - b) % p]
+            neg = self._neg_codes()
+            if self.p != 2 and self.q <= _ADD_TABLE_MAX:
+                # one table read, not a nested add call: sweeps call this
+                # per x
+                table = self._add_table()
+                return [lambda a, b: table[a][neg[b]]]
+            add = self._add_func()
+            return [lambda a, b: add(a, neg[b])]
+        return self._get("sub_func", build)[0]
 
     def _add_table(self):
         def build():

@@ -3,6 +3,7 @@ import pytest
 from legcurves import legendre, make_field, odd_prime_powers, twist
 from legcurves.classify import (
     EXCLUDED_EXCEPTION,
+    _attained_counts,
     EXCLUDED_NOT_DIV4,
     census,
     census_summary,
@@ -12,6 +13,43 @@ from legcurves.classify import (
     predict_legendre_isogenous,
     verify_isogeny_window,
 )
+from legcurves.field import field_of_order
+
+
+def literal_attained_counts(f):
+    """The three curve families summed literally: q + 1 + the sum over x
+    of chi(g(x) + b) for every (g, b), stopping once the whole Hasse
+    interval has shown up."""
+    q = f.q
+    lo, hi = hasse_interval(q)
+    remaining = set(range(lo, hi + 1))
+    chi = f._chi_codes()
+    add = f._add_func()
+    mul = f._mul_func()
+    xs = range(q)
+    families = []
+    if f.p >= 5:
+        # y^2 = x^3 + a*x + b with 4a^3 + 27b^2 != 0
+        c4, c27 = f.code(f(4)), f.code(f(27))
+        for a in range(q):
+            a3 = mul(c4, mul(a, mul(a, a)))
+            families.append(
+                ([add(mul(mul(x, x), x), mul(a, x)) for x in xs],
+                 [b for b in range(q) if add(a3, mul(c27, mul(b, b)))]))
+    else:
+        # y^2 = x^3 + a*x^2 + b (a, b != 0) and y^2 = x^3 + a*x + b (a != 0)
+        for a in range(1, q):
+            families.append(([mul(mul(x, x), add(x, a)) for x in xs],
+                             range(1, q)))
+        for a in range(1, q):
+            families.append(([add(mul(mul(x, x), x), mul(a, x)) for x in xs],
+                             range(q)))
+    for g, bs in families:
+        for b in bs:
+            remaining.discard(q + 1 + sum(chi[add(v, b)] for v in g))
+        if not remaining:
+            break
+    return set(range(lo, hi + 1)) - remaining
 
 
 class TestNormalizedR:
@@ -126,6 +164,13 @@ class TestCensus:
         assert s["attained_multiples_of_four"] == 4
         assert s["legendre_counts"] == 3
         assert s["reference_density"] == 3 * (1 - 1 / 3)
+
+
+class TestAttainedCounts:
+    @pytest.mark.parametrize("q", odd_prime_powers(49), ids=lambda q: f"q{q}")
+    def test_matches_literal_families(self, q):
+        f = field_of_order(q)
+        assert _attained_counts(f) == literal_attained_counts(f)
 
 
 class TestIsogenyWindow:

@@ -178,11 +178,36 @@ GOLDEN_DIGESTS = [
      "5166c605304721abdade0aa7e5995460edb57c765db1268e4fcb01bab0599b6f"),
     ("supersingular --p-max 31", "csv",
      "20310c8ebc682853132349315d1aafeab2281fe905e641978c0a9f0ef31fa742"),
+    ("count --q 2609", "json",
+     "2b341def6f064ad5272f8a43304926df700046f1a21db57380ce84f9580530fa"),
+    ("count --q 2609", "csv",
+     "7501ee9edc93bac39ef4d1a2cdde4f7b09fe536f7d40f4b95db4b1d8a7c09087"),
+    ("count --q 2209", "json",
+     "c3c850f71ea308f7b59e8d06c62c2f1c762428e7c0b5c245a4baf0fbfb67f633"),
+    ("count --q 2209", "csv",
+     "ae5f2e92b88ee73f532df425d15df3db87d457181baef2522d8e88a28d4ce184"),
+    ("count --q 729", "json",
+     "0a70a076540bb8e694c0824c523088c552f25a8efddc72b9c08e6d59a2fe038d"),
+    ("count --q 729", "csv",
+     "59fdd22fb2bedb7e7333182e4c1d86079e1300d87cfdcad34fc8cebcd8df99ca"),
 ]
 
 
+def _golden_ids(entries):
+    """command-format, with the command's input added when an earlier
+    entry already has that id, so appended entries rename no old id."""
+    ids = []
+    for command, fmt, _ in entries:
+        words = command.split()
+        tag = f"{words[0]}-{fmt}"
+        if tag in ids:
+            tag = f"{words[0]}{words[-1]}-{fmt}"
+        ids.append(tag)
+    return ids
+
+
 @pytest.mark.parametrize("command, fmt, digest", GOLDEN_DIGESTS,
-                         ids=[f"{c.split()[0]}-{f}" for c, f, _ in GOLDEN_DIGESTS])
+                         ids=_golden_ids(GOLDEN_DIGESTS))
 def test_golden_bytes(command, fmt, digest, capsys):
     assert run_main(command.split() + ["--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,11 +22,16 @@ from legcurves import (
     twist,
 )
 from legcurves import curve as curve_module
+from legcurves.field import DEFAULT_ENUMERATION_CAP, field_of_order
 from legcurves.curve import (
+    _PACK_RATIO,
+    _chi_shift_sums,
+    _moved_digits,
     verify_class_sizes,
     verify_four_torsion_equivalence,
     verify_group_law,
     verify_nonsquare_twist_isomorphism,
+    verify_shift_sums,
     verify_twist_counts,
     verify_two_descent_kernel,
 )
@@ -155,6 +161,108 @@ class TestCounting:
                     if y:
                         expected.append(Point(x, -y))
             assert e.points() == expected
+
+
+def literal_count_table(field):
+    """The A - lambda*B sweep with A = x^2(x-1), B = x(x-1): one multiply
+    and one character lookup per (lambda, x) pair."""
+    q = field.q
+    chi = field._chi_codes()
+    mul = field._mul_func()
+    sub = field._sub_func()
+    ab = []
+    for x in range(q):
+        b = mul(x, sub(x, 1))
+        ab.append((mul(x, b), b))
+    return {lam: q + 1 + sum(chi[sub(a, mul(lam, b))] for a, b in ab)
+            for lam in field._lex_codes() if lam not in (0, 1)}
+
+
+class TestCountTable:
+    # 2187 = 3^7 moves one digit to the outer loop of the kernel
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 125,
+                                   243, 729, 2187], ids=lambda q: f"q{q}")
+    def test_matches_literal_loop(self, q):
+        f = field_of_order(q)
+        table = legendre_count_table(f)
+        assert list(table.items()) == list(literal_count_table(f).items())
+
+    @pytest.mark.parametrize("q", [7, 9, 27], ids=lambda q: f"q{q}")
+    def test_hasse_guard(self, q, monkeypatch):
+        f = field_of_order(q)
+        real = curve_module._chi_shift_sums
+        lam = next(c for c in f._lex_codes() if c > 1)
+
+        def one_slot_off(field, w):
+            sums = real(field, w)
+            sums[field._neg_codes()[lam]] += 4 * field.q
+            return sums
+        monkeypatch.setattr(curve_module, "_chi_shift_sums", one_slot_off)
+        with pytest.raises(RuntimeError, match="Hasse bound"):
+            legendre_count_table(f)
+
+
+class TestShiftSums:
+    @pytest.mark.parametrize("q", [3, 5, 9, 13, 25, 27, 49, 81, 125, 243],
+                             ids=lambda q: f"q{q}")
+    def test_matches_double_loop(self, q):
+        f = field_of_order(q)
+        chi = f._chi_codes()
+        add = f._add_func()
+        rng = random.Random(q)
+        for w in ([rng.randrange(-5, 6) for _ in range(q)],
+                  [rng.randrange(0, 3) for _ in range(q)],
+                  [7] * q):
+            want = [sum(w[v] * chi[add(v, b)] for v in range(q))
+                    for b in range(q)]
+            assert _chi_shift_sums(f, w) == want
+
+    @pytest.mark.parametrize("q", [3, 9, 25, 49, 121], ids=lambda q: f"q{q}")
+    def test_verify_sweep(self, q):
+        assert verify_shift_sums(field_of_order(q)) == []
+
+    def test_verify_sweep_catches_a_wrong_sum(self, monkeypatch):
+        real = curve_module._chi_shift_sums
+
+        def last_sum_off(field, w):
+            sums = real(field, w)
+            sums[-1] += 1
+            return sums
+        monkeypatch.setattr(curve_module, "_chi_shift_sums", last_sum_off)
+        failures = verify_shift_sums(F9)
+        assert len(failures) == 2 and all("b=8" in m for m in failures)
+
+    def test_layout_bound_for_every_admitted_field(self):
+        cap = DEFAULT_ENUMERATION_CAP
+        sieve = bytearray([1]) * (cap + 1)
+        for d in range(2, int(cap ** 0.5) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, cap + 1, d)))
+        seen = 0
+        for p in range(3, cap + 1, 2):
+            if not sieve[p]:
+                continue
+            q, n = p, 1
+            while q <= cap:
+                k = _moved_digits(p, n)
+                assert (2 * p - 1) ** (n - k) <= _PACK_RATIO * q
+                assert k == 0 or (2 * p - 1) ** (n - k + 1) > _PACK_RATIO * q
+                seen += 1
+                q, n = q * p, n + 1
+        assert seen > 80000
+        assert _moved_digits(3, 6) == 0 and _moved_digits(3, 7) == 1
+
+    @pytest.mark.parametrize("q", [729, 2187, 2609], ids=lambda q: f"q{q}")
+    def test_packed_operands_within_ratio(self, q, monkeypatch):
+        real = curve_module._packed
+        sizes = []
+
+        def spy(slots):
+            sizes.append(len(slots))
+            return real(slots)
+        monkeypatch.setattr(curve_module, "_packed", spy)
+        legendre_count_table(field_of_order(q))
+        assert sizes and 2 * max(sizes) - 1 <= _PACK_RATIO * q
 
 
 class TestGroupLaw:
