@@ -421,6 +421,9 @@ def suite_infrastructure(scale="full"):
         failures.extend(verify_group_law(f))
         failures.extend(verify_twist_counts(f))
         failures.extend(verify_shift_sums(f))
+    for p in _odd_primes(127 if scale == "full" else 31):
+        if p >= 17:
+            failures.extend(supersingular.verify_hasse_trace(p))
     # determinism: the same config must render identical bytes whether
     # rows are built serially, in a pool, or on a second run
     qs = list(odd_prime_powers(25))

@@ -344,18 +344,22 @@ def count_four_torsion(curve, cap=None):
 
 
 def _root_transform_exists(field, roots1, roots2):
-    # x -> s*x + t with s a nonzero square must carry roots2 onto roots1
+    # x -> s*x + t with s a nonzero square must carry roots2 onto roots1;
+    # the search runs on integer codes
     chi = field._chi_codes()
-    target = set(roots1)
-    r2 = list(roots2)
+    add = field._add_func()
+    sub = field._sub_func()
+    mul = field._mul_func()
+    r1 = [field.code(r) for r in roots1]
+    r2 = [field.code(r) for r in roots2]
+    target = set(r1)
     for c in range(1, field.q):
         if chi[c] != 1:
             continue
-        s = field.from_code(c)
-        im = [s * r for r in r2]
-        for r in roots1:
-            t = r - im[0]
-            if {im[0] + t, im[1] + t, im[2] + t} == target:
+        im = [mul(c, r) for r in r2]
+        for r in r1:
+            t = sub(r, im[0])
+            if {add(im[0], t), add(im[1], t), add(im[2], t)} == target:
                 return True
     return False
 
@@ -602,6 +606,9 @@ def _chord_tangent(field, roots):
 
 
 def _group_structure_codes(field, roots):
+    """(d1, d2) with the point group Z/d1 x Z/d2, d1 | d2.  Each point
+    order is found by a prime-power ladder: for l^a exactly dividing
+    #E, R = [#E/l^a]P is multiplied by l until it reaches infinity."""
     affine = _affine_codes(field, roots)
     eadd = _chord_tangent(field, roots)
 
@@ -610,21 +617,30 @@ def _group_structure_codes(field, roots):
         while k:
             if k & 1:
                 acc = eadd(acc, point)
-            point = eadd(point, point)
             k >>= 1
+            if k:
+                point = eadd(point, point)
         return acc
 
     n = len(affine) + 1
-    fac = prime_factors(n) if n > 1 else []
+    ladders = []
+    for ell in prime_factors(n):
+        a = 0
+        while n % ell ** (a + 1) == 0:
+            a += 1
+        ladders.append((ell, a, n // ell ** a))
     exponent = 1
     for pt in affine:
-        o = n
-        for f in fac:
-            while o % f == 0:
-                if emul(pt, o // f) is None:
-                    o //= f
-                else:
-                    break
+        o = 1
+        for ell, a, cofactor in ladders:
+            r = emul(pt, cofactor)
+            while r is not None:
+                if a == 0:
+                    raise RuntimeError(
+                        "a point order does not divide the group order")
+                r = emul(r, ell)
+                o *= ell
+                a -= 1
         exponent = lcm(exponent, o)
         if exponent == n:
             break

@@ -63,8 +63,9 @@ def prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# Bare coefficient-list arithmetic over Z/p, used only to pick and check
-# the modulus.  Lists are constant-term first with no trailing zeros.
+# Bare coefficient-list arithmetic over Z/p: it picks and checks the
+# modulus, and `poly.pow_x_mod` runs its prime-field powers on it.
+# Lists are constant-term first with no trailing zeros.
 
 def _ptrim(a):
     while a and a[-1] == 0:
@@ -82,20 +83,20 @@ def _psub(a, b, p):
 def _pmulmod(a, b, f, p):
     if not a or not b:
         return []
+    # products accumulate unreduced; one % p per coefficient at the end
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] += ai * bj
     # reduce by monic f
     df = len(f) - 1
     for i in range(len(out) - 1, df - 1, -1):
-        c = out[i]
+        c = out[i] % p
         if c:
-            out[i] = 0
             for j in range(df):
-                out[i - df + j] = (out[i - df + j] - c * f[j]) % p
-    return _ptrim(out[:df])
+                out[i - df + j] -= c * f[j]
+    return _ptrim([c % p for c in out[:df]])
 
 
 def _ppowmod(a, e, f, p):

@@ -12,7 +12,7 @@ Legendre parameters (degree (p-1)/2, squared-binomial coefficients).
 
 from __future__ import annotations
 
-from .field import Fe, make_field
+from .field import Fe, _ppowmod, make_field
 
 
 class Poly:
@@ -160,11 +160,24 @@ def substitute_neg(f):
 
 
 def pow_x_mod(f, e):
-    """x**e mod f, by repeated squaring; f must have degree >= 1."""
+    """x**e mod f, by repeated squaring; f must have degree >= 1.
+
+    Over a prime field the squaring runs on bare Z/p coefficient lists
+    (`field._ppowmod`) against the monic associate of f, which leaves
+    every remainder unchanged; extension-field coefficients go through
+    `Poly` arithmetic."""
     if f.degree < 1:
         raise ValueError("modulus must have degree at least 1")
-    result = Poly(f.field, (1,))
-    base = Poly.x(f.field) % f
+    field = f.field
+    if field.n == 1:
+        p = field.p
+        m = [int(c) for c in f.coeffs]
+        linv = pow(m[-1], p - 2, p)
+        m = [c * linv % p for c in m]
+        x = [0, 1] if len(m) > 2 else [-m[0] % p]   # x mod (x + m0)
+        return Poly(field, _ppowmod(x, e, m, p))
+    result = Poly(field, (1,))
+    base = Poly.x(field) % f
     while e:
         if e & 1:
             result = (result * base) % f

@@ -6,7 +6,8 @@ binomial coefficients), and they all live in F_{p^2}.  This module
 finds them by direct scans, checks the point-group structure they
 produce over F_{p^2}, and compares the number of roots lying in F_p
 itself against a class-number formula whose class numbers come from an
-independent reduced-forms enumeration.
+independent reduced-forms enumeration.  Over F_p the same polynomial is
+the Hasse invariant, which gives each Legendre trace mod p.
 
 The F_{p^2} root scan works on integer coordinate pairs (a, b) for
 a + b*t with t a fixed generator, stepping Horner through the modulus
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .curve import full_four_torsion_rational, legendre
+from .curve import full_four_torsion_rational, legendre, legendre_count_table
 from .field import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -163,6 +164,29 @@ def verify_eighth_power(p):
             f"p={p}: the element-wise and polynomial 8th-power checks "
             f"disagree ({elementwise} vs {divisibility})")
     return elementwise
+
+
+def verify_hasse_trace(p):
+    """The Hasse invariant against the count table over F_p: for every
+    lambda outside {0, 1}, the symmetric lift of deuring(p)(lambda) mod p
+    is the trace p + 1 - #E_lambda(F_p).  The two agree exactly for
+    p >= 17, where |trace| <= 2*sqrt(p) < p/2; the polynomial is
+    evaluated by integer Horner and shares nothing with the table's
+    character sums.  Returns failure strings."""
+    if p < 17 or not _is_prime(p):
+        raise ValueError(f"the Hasse-trace identity needs a prime p >= 17, "
+                         f"got {p}")
+    rev = [int(c) for c in deuring(p).coeffs][::-1]
+    failures = []
+    for lam, n in legendre_count_table(make_field(p)).items():
+        acc = 0
+        for c in rev:
+            acc = (acc * lam + c) % p
+        hasse = acc - p if acc > p // 2 else acc
+        if hasse != p + 1 - n:
+            failures.append(f"p={p} lambda={lam}: Hasse invariant {hasse} "
+                            f"vs trace {p + 1 - n}")
+    return failures
 
 
 def verify_sp_formula(p):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -22,7 +23,12 @@ from legcurves import (
     twist,
 )
 from legcurves import curve as curve_module
-from legcurves.field import DEFAULT_ENUMERATION_CAP, field_of_order
+from legcurves.field import (
+    DEFAULT_ENUMERATION_CAP,
+    field_of_order,
+    odd_prime_powers,
+    prime_factors,
+)
 from legcurves.curve import (
     _PACK_RATIO,
     _chi_shift_sums,
@@ -35,6 +41,7 @@ from legcurves.curve import (
     verify_twist_counts,
     verify_two_descent_kernel,
 )
+from legcurves.supersingular import supersingular_lambdas
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -57,6 +64,48 @@ def naive_count(curve):
             if curve.delta * y * y == rhs:
                 total += 1
     return total
+
+
+def per_divisor_group_structure(field, roots):
+    """Group structure with each point order found by testing [n/l]P
+    anew for every prime l dividing the running order: the
+    reference for the prime-power ladder of `_group_structure_codes`."""
+    affine = curve_module._affine_codes(field, roots)
+    eadd = curve_module._chord_tangent(field, roots)
+
+    def emul(point, k):
+        acc = None
+        while k:
+            if k & 1:
+                acc = eadd(acc, point)
+            point = eadd(point, point)
+            k >>= 1
+        return acc
+
+    n = len(affine) + 1
+    exponent = 1
+    for pt in affine:
+        o = n
+        for ell in prime_factors(n):
+            while o % ell == 0 and emul(pt, o // ell) is None:
+                o //= ell
+        exponent = math.lcm(exponent, o)
+    return (n // exponent, exponent)
+
+
+def fe_root_transform_exists(field, roots1, roots2):
+    """The isomorphism search on Fe elements: the reference for the
+    integer-code search of `_root_transform_exists`."""
+    target = set(roots1)
+    for s in field.elements():
+        if quadratic_character(s) != 1:
+            continue
+        im = [s * r for r in roots2]
+        for r in roots1:
+            t = r - im[0]
+            if {im[0] + t, im[1] + t, im[2] + t} == target:
+                return True
+    return False
 
 
 class TestConstruction:
@@ -310,6 +359,23 @@ class TestGroupLaw:
                 d1, d2 = legendre(field, field.from_code(code)).group_structure()
                 assert d1 % 2 == 0 and d2 % d1 == 0
 
+    @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27],
+                             ids=lambda q: f"q{q}")
+    def test_ladder_matches_per_divisor_loop(self, q):
+        f = field_of_order(q)
+        for roots in itertools.combinations(range(q), 3):
+            assert (curve_module._group_structure_codes(f, roots)
+                    == per_divisor_group_structure(f, roots)), roots
+
+    def test_ladder_on_supersingular_curves(self):
+        lams = supersingular_lambdas(31).roots
+        assert len(lams) == 15
+        f = lams[0].field
+        for lam in lams:
+            roots = (0, 1, f.code(lam))
+            assert (curve_module._group_structure_codes(f, roots)
+                    == per_divisor_group_structure(f, roots) == (32, 32))
+
     @pytest.mark.parametrize("field", [F7, F9], ids=lambda f: f"q{f.q}")
     def test_code_law_matches_fe_law(self, field):
         # the integer-code law of the sweeps against the public Fe law,
@@ -444,6 +510,29 @@ class TestIsomorphism:
         assert e.j_invariant() == tw.j_invariant() == F23(19)
         assert e.group_structure() == tw.group_structure() == (2, 12)
         assert not is_isomorphic(e, tw)
+
+    @pytest.mark.parametrize("q", list(odd_prime_powers(27))[1:],
+                             ids=lambda q: f"q{q}")
+    def test_code_search_matches_fe_search(self, q):
+        # random triples, half of them mapped from the first by a random
+        # s*x + t (s a square or not) and shuffled, so both outcomes occur
+        # (F_3 is left out: its only triple maps onto itself)
+        f = field_of_order(q)
+        rng = random.Random(q)
+        seen = set()
+        for _ in range(260):
+            roots1 = [f.from_code(c) for c in rng.sample(range(q), 3)]
+            if rng.random() < 0.5:
+                s = f.from_code(rng.randrange(1, q))
+                t = f.from_code(rng.randrange(q))
+                roots2 = [s * r + t for r in roots1]
+                rng.shuffle(roots2)
+            else:
+                roots2 = [f.from_code(c) for c in rng.sample(range(q), 3)]
+            found = curve_module._root_transform_exists(f, roots1, roots2)
+            assert found == fe_root_transform_exists(f, roots1, roots2)
+            seen.add(found)
+        assert seen == {True, False}
 
     def test_legendre_membership_frozen_counterexample(self):
         # y^2 = x(x+2)(x-5) over F_13: none of +-2, +-5, +-7 is a square

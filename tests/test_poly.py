@@ -20,6 +20,19 @@ ODD_PRIMES_200 = [p for p in range(3, 200, 2)
                   if all(p % f for f in range(3, p, 2))]
 
 
+def naive_pow_x_mod(f, e):
+    """x**e mod f by square-and-multiply on Poly objects: the reference
+    for the integer-list path of pow_x_mod."""
+    result = Poly(f.field, (1,))
+    base = Poly.x(f.field) % f
+    while e:
+        if e & 1:
+            result = (result * base) % f
+        base = (base * base) % f
+        e >>= 1
+    return result
+
+
 def ints(poly):
     return [int(c) for c in poly.coeffs]
 
@@ -170,6 +183,34 @@ def test_pow_x_mod():
     for e in range(10):
         assert pow_x_mod(f, e) == acc % f
         acc = acc * x
+
+
+@pytest.mark.parametrize("p", [p for p in ODD_PRIMES_200 if p <= 61])
+def test_pow_x_mod_list_path_matches_poly_path(p):
+    # deuring(p) has leading coefficient p - 1 for p = 3 mod 4, while
+    # substitute_neg(deuring(p)) is monic; p = 3 gives degree 1
+    for f in (deuring(p), substitute_neg(deuring(p))):
+        for e in (0, 1, 2, p, p * p, (p * p - 1) // 8):
+            assert pow_x_mod(f, e) == naive_pow_x_mod(f, e), (p, e)
+
+
+def test_pow_x_mod_extension_coefficients():
+    f9 = make_field(3, 2)
+    t = f9.from_code(3)
+    g = Poly(f9, (t, 1, 0, 2 * t))
+    for e in (0, 1, 2, 3, 9, 80, 81):
+        assert pow_x_mod(g, e) == naive_pow_x_mod(g, e), e
+
+
+def test_pow_x_mod_prime_path_avoids_poly_arithmetic(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Poly arithmetic on the prime-field path")
+    monkeypatch.setattr(Poly, "__mul__", forbidden)
+    monkeypatch.setattr(Poly, "__divmod__", forbidden)
+    # the deuring polynomial splits into distinct factors over F_{p^2}
+    assert pow_x_mod(deuring(199), 199 ** 2) == Poly.x(make_field(199))
+    assert pow_x_mod(substitute_neg(deuring(199)), (199 ** 2 - 1) // 8) \
+        == Poly(make_field(199), (1,))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])

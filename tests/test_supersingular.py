@@ -8,6 +8,8 @@ from legcurves import (
     legendre,
     make_field,
 )
+from legcurves import supersingular
+from legcurves.curve import legendre_count_table
 from legcurves.field import _is_prime
 from legcurves.poly import deuring, roots_in
 from legcurves.supersingular import (
@@ -15,6 +17,7 @@ from legcurves.supersingular import (
     supersingular_lambdas,
     supersingular_prime_field_count,
     verify_eighth_power,
+    verify_hasse_trace,
     verify_sp_formula,
     verify_ss_structure,
 )
@@ -61,6 +64,18 @@ class TestRootTables:
             in_fp = [r for r in t.roots if all(c == 0 for c in r.coeffs[1:])]
             assert [r.coeffs[0] for r in in_fp] == t.prime_field_roots
             assert supersingular_prime_field_count(p) == len(t.prime_field_roots)
+
+    @pytest.mark.parametrize("p", [3, 31, 199])
+    def test_self_check_catches_a_wrong_count(self, p, monkeypatch):
+        real = supersingular.distinct_root_count
+        monkeypatch.setattr(supersingular, "distinct_root_count",
+                            lambda f, order: real(f, order) + 1)
+        supersingular_lambdas.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=f"p={p}"):
+                supersingular_lambdas(p)
+        finally:
+            supersingular_lambdas.cache_clear()
 
     def test_rejects_non_primes(self):
         for bad in (2, 9, 15, 1):
@@ -125,6 +140,28 @@ class TestEighthPowers:
         for p in (7, 11, 13):
             for lam in supersingular_lambdas(p).roots:
                 assert is_nth_power(-lam, 8)
+
+
+class TestHasseTrace:
+    @pytest.mark.parametrize("p", [p for p in range(17, 128) if _is_prime(p)])
+    def test_identity(self, p):
+        assert verify_hasse_trace(p) == []
+
+    def test_rejects_small_and_composite(self):
+        for bad in (3, 13, 15, 25, 49):
+            with pytest.raises(ValueError):
+                verify_hasse_trace(bad)
+
+    @pytest.mark.parametrize("p", [17, 67, 127])
+    def test_catches_a_wrong_count(self, p, monkeypatch):
+        def shifted(field, cap=None):
+            table = legendre_count_table(field, cap)
+            table[5] += 4
+            return table
+        monkeypatch.setattr(supersingular, "legendre_count_table", shifted)
+        failures = verify_hasse_trace(p)
+        assert len(failures) == 1
+        assert failures[0].startswith(f"p={p} lambda=5:")
 
 
 class TestPrimeFieldCount:
