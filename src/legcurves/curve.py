@@ -11,14 +11,16 @@ scale and has no special cases at j = 0 or 1728.
 
 Point enumeration, point counting, group structure and the 2-descent
 sweep share the three primitives of the integer-code engine, which work
-on element codes with the field lookup tables: `_cubic_codes` (the cubic
+on element codes with the field's O(q) lookup tables (extension fields
+add by Zech's logarithm): `_cubic_codes` (the cubic
 at every x), `_affine_codes` (the affine points, in the order
 `Curve.points` returns them) and `_chord_tangent` (the group law of a
 monic model on code pairs).  The lambda-line count table and the
 all-curves oracle of `classify` share a fourth, `_chi_shift_sums`: the
 character sums sum_v w[v] * chi(v + b) for every b at once, from one
-exact product of two packed integers.  The verify_* sweeps at the
-bottom are exhaustive oracles used by the test suite and the CLI.
+exact product of two packed integers; the self-twist sweep reads its
+q + 1 prefilter from that table too.  The verify_* sweeps at the bottom
+are exhaustive oracles used by the test suite and the CLI.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import random
 import sys
 from array import array
-from math import lcm
+from math import comb, lcm
 import operator
 
 from .field import (
@@ -432,7 +434,7 @@ def legendre_count_table(field, cap=None):
 # integer-code engine shared by the exhaustive sweeps
 
 
-def _moved_digits(p, n):
+def _moved_digit_count(p, n):
     """The number k of top base-p digits that `_chi_shift_sums` sums in
     an outer loop: the least k with (2p-1)^(n-k) <= _PACK_RATIO * p^n."""
     k = 0
@@ -510,12 +512,12 @@ def _chi_shift_sums(field, w):
     32-bit slots hold at most 2 * sum(w - min(w)), 4q for a character
     weight and 2q for a histogram.
 
-    When (2p-1)^n exceeds _PACK_RATIO * q, the top `_moved_digits` digits
-    go to an outer loop: for each high part of b, the products of the
-    slices with high parts v and v + b are summed before the fold.
+    When (2p-1)^n exceeds _PACK_RATIO * q, the top `_moved_digit_count`
+    digits go to an outer loop: for each high part of b, the products of
+    the slices with high parts v and v + b are summed before the fold.
     """
     p, q = field.p, field.q
-    low = field.n - _moved_digits(p, field.n)
+    low = field.n - _moved_digit_count(p, field.n)
     size = p ** low
     nbytes = 4 * (2 * p - 1) ** low
     floor = min(w)
@@ -672,22 +674,39 @@ def _doubling_image(field, roots):
 # exhaustive verification sweeps; each returns a list of failure strings
 
 
+def _unrank_triple(q, r):
+    """The r-th 3-subset of range(q) in `itertools.combinations` order."""
+    a = 0
+    while r >= comb(q - 1 - a, 2):
+        r -= comb(q - 1 - a, 2)
+        a += 1
+    b = a + 1
+    while r >= q - 1 - b:
+        r -= q - 1 - b
+        b += 1
+    return (a, b, b + 1 + r)
+
+
 def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
     """Associativity, commutativity, inverses, identity and closure.
 
     Exhaustive over curves and point triples while the totals stay below
     the `curves` / `triples` budgets, seeded random samples beyond that.
+    A sampled root triple is unranked from one random index, so memory
+    stays O(q) where the C(q, 3) triples would not.
     """
     q = field.q
     rng = random.Random(seed * 0x9E3779B1 + q)
     failures = []
-    all_triples = list(itertools.combinations(range(q), 3))
-    deltas = list(range(1, q))
-    if len(all_triples) * len(deltas) <= curves:
-        chosen = [(t, d) for t in all_triples for d in deltas]
+    n_triples = comb(q, 3)
+    if n_triples * (q - 1) <= curves:
+        chosen = [(t, d) for t in itertools.combinations(range(q), 3)
+                  for d in range(1, q)]
     else:
-        chosen = [(rng.choice(all_triples), rng.choice(deltas))
-                  for _ in range(curves)]
+        # the draws of rng.choice on the list of all triples and on
+        # range(1, q), without building the list
+        chosen = [(_unrank_triple(q, rng.randrange(n_triples)),
+                   1 + rng.randrange(q - 1)) for _ in range(curves)]
     for (ra, rb, rc), dc in chosen:
         e = Curve(field, field.from_code(ra), field.from_code(rb),
                   field.from_code(rc), field.from_code(dc))
@@ -835,21 +854,33 @@ def verify_two_descent_kernel(field):
     return failures
 
 
+def _trace_zero_triples(field, cap=None):
+    """The root-code triples a < b < c of the monic curves with q + 1
+    points.  x = a + (b - a)X carries the curve to the twist by b - a of
+    the Legendre curve at lambda = (c - a)/(b - a), and a twist keeps a
+    count of q + 1, so one count table decides every triple."""
+    table = legendre_count_table(field, cap)
+    sub = field._sub_func()
+    mul = field._mul_func()
+    inv = field._inv_codes()
+    target = field.q + 1
+    for a, b, c in itertools.combinations(range(field.q), 3):
+        if table[mul(sub(c, a), inv[sub(b, a)])] == target:
+            yield a, b, c
+
+
 def verify_nonsquare_twist_isomorphism(field, cap=None):
     """A curve isomorphic to its own nonsquare twist forces j = 1728,
     and the ambient field must have -1 as a non-square (q = 3 mod 4).
     Swept over every monic curve; count equality prefilters the search,
-    since a self-twist-isomorphic curve must have q + 1 points."""
+    since a self-twist-isomorphic curve must have q + 1 points, and the
+    count is read from the Legendre count table (`_trace_zero_triples`)."""
     f = field
     q = f.q
-    chi = f._chi_codes()
     failures = []
-    d0c = _first_nonsquare_code(f)
-    d0 = f.from_code(d0c)
+    d0 = f.from_code(_first_nonsquare_code(f))
     j1728 = f(1728)
-    for roots in itertools.combinations(range(q), 3):
-        if sum(chi[v] for v in _cubic_codes(f, roots)):
-            continue
+    for roots in _trace_zero_triples(f, cap):
         e = Curve(f, *map(f.from_code, roots))
         if not _root_transform_exists(f, e.roots,
                                       tuple(d0 * r for r in e.roots)):

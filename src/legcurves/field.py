@@ -7,25 +7,23 @@ irreducible polynomial in the constant-term-first scan), so the same
 representation.  Intended for exhaustive sweeps over small fields, not
 for cryptography: q is capped at 2**63 and enumeration at 2**20.
 
-Fast lookup tables (discrete log, quadratic character, square roots) are
-built lazily per field and shared by the sweep code in the sibling
-modules.  They are an implementation detail; the public surface is
-`Field`, `Fe` and the helper functions at the bottom.
+Fast lookup tables (discrete log, Zech logarithm, quadratic character,
+square roots), each of O(q) entries, are built lazily per field and
+shared by the sweep code in the sibling modules.  They are an
+implementation detail; the public surface is `Field`, `Fe` and the
+helper functions at the bottom.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import gcd
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 MAX_CHARACTERISTIC = 1 << 20
 MAX_ORDER = 1 << 63
-
-# q*q tables are affordable up to this order; beyond it addition falls
-# back to digit arithmetic.
-_ADD_TABLE_MAX = 2100
 
 
 class EnumerationCapError(ValueError):
@@ -288,13 +286,6 @@ class Field:
             raise EnumerationCapError(
                 f"{what} for {self!r} exceeds cap {DEFAULT_ENUMERATION_CAP}")
 
-    def _digits(self):
-        """digits[code] = coefficient tuple."""
-        def build():
-            self._check_cap()
-            return [tuple(self.from_code(c).coeffs) for c in range(self.q)]
-        return self._get("digits", build)
-
     def _lex_codes(self):
         """Codes listed in lexicographic element order."""
         def build():
@@ -313,32 +304,48 @@ class Field:
 
     def _explog(self):
         """(exp, log) tables for a deterministic multiplicative generator:
-        the lexicographically first element whose order is q - 1."""
+        the lexicographically first element whose order is q - 1.  The
+        powers step on coefficient lists: multiplying by g is the linear
+        map whose column j holds coefficient j of t^i * g for every i."""
         def build():
             self._check_cap()
-            m = self.q - 1
+            p, n, m = self.p, self.n, self.q - 1
+            # a prime field reduces modulo t: its elements are constants
+            mod = list(self.modulus) or [0, 1]
             fac = prime_factors(m) if m > 1 else []
-            gen = None
+            powers = [p ** i for i in range(n)]
             for code in self._lex_codes():
-                if code == 0:
-                    continue
-                g = self.from_code(code)
-                if all((g ** (m // f)).coeffs != self.one.coeffs for f in fac):
-                    gen = g
+                g = _ptrim([code // pw % p for pw in powers])
+                if g and all(_ppowmod(g, m // f, mod, p) != [1] for f in fac):
                     break
+            rows = [_pmulmod([0] * i + [1], g, mod, p) for i in range(n)]
+            cols = [[r[j] if j < len(r) else 0 for r in rows]
+                    for j in range(n)]
             exp = [0] * m
             log = [None] * self.q
-            acc = self.one
+            acc = [1] + [0] * (n - 1)
             for k in range(m):
-                c = self.code(acc)
+                c = sum(map(operator.mul, acc, powers))
                 exp[k] = c
                 log[c] = k
-                acc = acc * gen
+                acc = [sum(map(operator.mul, acc, col)) % p for col in cols]
             return exp, log
         return self._get("explog", build)
 
+    def _zech(self):
+        """Zech's logarithm z[k] = log(1 + g^k), None where g^k = -1; odd
+        extension fields.  Adding 1 to a code only changes its constant
+        digit, so the table is one pass over exp."""
+        def build():
+            exp, log = self._explog()
+            top = self.p - 1
+            return [log[c - top if c % self.p == top else c + 1] for c in exp]
+        return self._get("zech", build)
+
     # The arithmetic closures are built once per field and kept by `_get`
     # as one-entry lists, so every value it stores is a sized table.
+    # Prime fields add with % p and characteristic 2 with XOR; the other
+    # extension fields add through Zech's logarithm, with O(q) tables.
 
     def _mul_func(self):
         def build():
@@ -362,20 +369,7 @@ class Field:
                 return [lambda a, b: (a + b) % p]
             if self.p == 2:
                 return [lambda a, b: a ^ b]
-            if self.q <= _ADD_TABLE_MAX:
-                table = self._add_table()
-                return [lambda a, b: table[a][b]]
-            digits = self._digits()
-            p = self.p
-            n = self.n
-
-            def add(a, b):
-                da, db = digits[a], digits[b]
-                c = 0
-                for i in range(n - 1, -1, -1):
-                    c = c * p + (da[i] + db[i]) % p
-                return c
-            return [add]
+            return [self._zech_add(0)]
         return self._get("add_func", build)[0]
 
     def _sub_func(self):
@@ -383,50 +377,40 @@ class Field:
             if self.n == 1:
                 p = self.p
                 return [lambda a, b: (a - b) % p]
-            neg = self._neg_codes()
-            if self.p != 2 and self.q <= _ADD_TABLE_MAX:
-                # one table read, not a nested add call: sweeps call this
-                # per x
-                table = self._add_table()
-                return [lambda a, b: table[a][neg[b]]]
-            add = self._add_func()
-            return [lambda a, b: add(a, neg[b])]
+            if self.p == 2:
+                return [lambda a, b: a ^ b]
+            # -1 = g^(m/2), so log(-b) = log(b) + m/2
+            return [self._zech_add((self.q - 1) // 2)]
         return self._get("sub_func", build)[0]
 
-    def _add_table(self):
-        def build():
-            self._check_cap()
-            digits = self._digits()
-            p = self.p
-            powers = [p ** i for i in range(self.n)]
-            rows = []
-            for da in digits:
-                row = []
-                for db in digits:
-                    c = 0
-                    for i, pw in enumerate(powers):
-                        c += ((da[i] + db[i]) % p) * pw
-                    row.append(c)
-                rows.append(row)
-            return rows
-        return self._get("add_table", build)
+    def _zech_add(self, shift):
+        """(a, b) -> a + g^shift * b on codes: a + c = a * (1 + c/a), so
+        log(a + c) = log(a) + z[log(c) - log(a)], and c = -a gives 0."""
+        exp, log = self._explog()
+        z = self._zech()
+        m = self.q - 1
+
+        def add(a, b):
+            if b == 0:
+                return a
+            if a == 0:
+                return exp[(log[b] + shift) % m]
+            la = log[a]
+            k = z[(log[b] + shift - la) % m]
+            return 0 if k is None else exp[(la + k) % m]
+        return add
 
     def _neg_codes(self):
         def build():
             self._check_cap()
-            if self.n == 1:
-                p = self.p
-                return [(-c) % p for c in range(p)]
-            digits = self._digits()
             p = self.p
-            powers = [p ** i for i in range(self.n)]
-            out = []
-            for d in digits:
-                c = 0
-                for i, pw in enumerate(powers):
-                    c += ((-d[i]) % p) * pw
-                out.append(c)
-            return out
+            if self.n == 1:
+                return [(-c) % p for c in range(p)]
+            if p == 2:
+                return list(range(self.q))
+            exp, log = self._explog()
+            m = self.q - 1
+            return [0] + [exp[(log[c] + m // 2) % m] for c in range(1, self.q)]
         return self._get("neg_codes", build)
 
     def _inv_codes(self):
@@ -476,16 +460,12 @@ class Field:
             out = [None] * self.q
             out[0] = 0
             neg = self._neg_codes()
-            if self.n == 1:
-                smaller = min
-            else:
-                digits = self._digits()
-
-                def smaller(a, b):
-                    return a if digits[a] <= digits[b] else b
+            rank = [0] * self.q
+            for i, c in enumerate(self._lex_codes()):
+                rank[c] = i
             for k in range(0, m, 2):
                 r = exp[k // 2]
-                out[exp[k]] = smaller(r, neg[r])
+                out[exp[k]] = r if rank[r] <= rank[neg[r]] else neg[r]
             return out
         return self._get("sqrt_codes", build)
 
@@ -520,7 +500,7 @@ class Fe:
 
     def _coerce(self, other):
         if isinstance(other, Fe):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError(
                     f"mixed fields: {self.field!r} and {other.field!r}")
             return other
@@ -647,7 +627,8 @@ class Fe:
 
     def __eq__(self, other):
         if isinstance(other, Fe):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return ((self.field is other.field or self.field == other.field)
+                    and self.coeffs == other.coeffs)
         if isinstance(other, int):
             return self.coeffs == self.field(other).coeffs
         return NotImplemented

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,7 +33,10 @@ from legcurves.field import (
 from legcurves.curve import (
     _PACK_RATIO,
     _chi_shift_sums,
-    _moved_digits,
+    _cubic_codes,
+    _moved_digit_count,
+    _trace_zero_triples,
+    _unrank_triple,
     verify_class_sizes,
     verify_four_torsion_equivalence,
     verify_group_law,
@@ -293,13 +297,13 @@ class TestShiftSums:
                 continue
             q, n = p, 1
             while q <= cap:
-                k = _moved_digits(p, n)
+                k = _moved_digit_count(p, n)
                 assert (2 * p - 1) ** (n - k) <= _PACK_RATIO * q
                 assert k == 0 or (2 * p - 1) ** (n - k + 1) > _PACK_RATIO * q
                 seen += 1
                 q, n = q * p, n + 1
         assert seen > 80000
-        assert _moved_digits(3, 6) == 0 and _moved_digits(3, 7) == 1
+        assert _moved_digit_count(3, 6) == 0 and _moved_digit_count(3, 7) == 1
 
     @pytest.mark.parametrize("q", [729, 2187, 2609], ids=lambda q: f"q{q}")
     def test_packed_operands_within_ratio(self, q, monkeypatch):
@@ -394,6 +398,40 @@ class TestGroupLaw:
                              ids=lambda f: f"q{f.q}")
     def test_group_law_sweep(self, field):
         assert verify_group_law(field, curves=30, triples=120) == []
+
+    def test_unrank_triple_follows_combinations(self):
+        for q in (3, 4, 5, 9, 16):
+            assert ([_unrank_triple(q, r) for r in range(math.comb(q, 3))]
+                    == list(itertools.combinations(range(q), 3)))
+
+    @pytest.mark.parametrize("q", [7, 9, 81, 103])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sampled_curves_match_the_list_draw(self, q, seed, monkeypatch):
+        field = field_of_order(q)
+        drawn = []
+
+        class Recorded(Curve):
+            def __init__(self, f, a, b, c, d):
+                drawn.append(((f.code(a), f.code(b), f.code(c)), f.code(d)))
+                super().__init__(f, a, b, c, d)
+
+        monkeypatch.setattr(curve_module, "Curve", Recorded)
+        assert verify_group_law(field, seed=seed, triples=1) == []
+        rng = random.Random(seed * 0x9E3779B1 + q)
+        all_triples = list(itertools.combinations(range(q), 3))
+        deltas = list(range(1, q))
+        assert drawn == [(rng.choice(all_triples), rng.choice(deltas))
+                         for _ in range(40)]
+
+    def test_group_law_peak_memory(self):
+        field = field_of_order(103)
+        tracemalloc.start()
+        try:
+            assert verify_group_law(field) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 class TestTwists:
@@ -600,6 +638,39 @@ class TestTwistIsomorphism:
                              ids=lambda f: f"q{f.q}")
     def test_sweep(self, field):
         assert verify_nonsquare_twist_isomorphism(field) == []
+
+    @pytest.mark.parametrize("q", odd_prime_powers(49))
+    def test_count_table_prefilter_matches_chi_sums(self, q):
+        field = field_of_order(q)
+        chi = field._chi_codes()
+        want = [roots for roots in itertools.combinations(range(q), 3)
+                if sum(chi[v] for v in _cubic_codes(field, roots)) == 0]
+        assert list(_trace_zero_triples(field)) == want
+
+
+def _entries(value):
+    if isinstance(value, tuple):
+        return sum(len(v) for v in value)
+    return sum(len(v) if isinstance(v, list) else 1 for v in value)
+
+
+@pytest.mark.parametrize("q", [81, 961])
+def test_field_tables_stay_linear_in_q(q):
+    # after group-structure and twist work, no table kept by Field._get
+    # holds more than 4q entries: no q x q addition table
+    field = field_of_order(q)
+    d0 = field.from_code(curve_module._first_nonsquare_code(field))
+    for lamc in list(legendre_count_table(field))[:: q // 8]:
+        e = legendre(field, field.from_code(lamc))
+        assert e.group_structure()[0] % 2 == 0
+        assert (e.count_points() + twist(e, d0).count_points()
+                == 2 * q + 2)
+    if q < 100:
+        assert verify_twist_counts(field) == []
+        assert verify_group_law(field) == []
+    sizes = {name: _entries(v) for name, v in field._tab.items()}
+    assert {"explog", "zech", "add_func", "sub_func"} <= set(sizes)
+    assert max(sizes.values()) <= 4 * q, sizes
 
 
 class TestFourTorsion:

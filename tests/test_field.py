@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from legcurves.cli import _field_axiom_failures
 from legcurves.field import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -11,6 +12,8 @@ from legcurves.field import (
     field_of_order,
     is_nth_power,
     make_field,
+    odd_prime_powers,
+    prime_factors,
     quadratic_character,
     sqrt,
     trace2,
@@ -296,3 +299,146 @@ def test_add_mul_tables_agree_with_elements():
             assert neg[a] == f.code(-fa)
             if a:
                 assert inv[a] == f.code(fa.inv())
+
+
+# ---------------------------------------------------------------------------
+# Zech-logarithm addition against digit-wise references that share none of
+# its tables: base-p digits add mod p.
+
+ODD_EXT_729 = [q for q in odd_prime_powers(729) if field_of_order(q).n > 1]
+
+
+def _digits(f, c):
+    out = []
+    for _ in range(f.n):
+        out.append(c % f.p)
+        c //= f.p
+    return out
+
+
+def _undigits(f, ds):
+    c = 0
+    for d in reversed(ds):
+        c = c * f.p + d
+    return c
+
+
+def _digit_add(f, a, b):
+    return _undigits(f, [(x + y) % f.p
+                         for x, y in zip(_digits(f, a), _digits(f, b))])
+
+
+def _digit_neg(f, a):
+    return _undigits(f, [(-x) % f.p for x in _digits(f, a)])
+
+
+def _add_table(f):
+    """The q x q addition table the fields used to keep."""
+    digits = [_digits(f, c) for c in range(f.q)]
+    powers = [f.p ** i for i in range(f.n)]
+    return [[sum((x + y) % f.p * pw for x, y, pw in zip(da, db, powers))
+             for db in digits] for da in digits]
+
+
+def _zech_mismatches(f, table=None, pairs=None):
+    """Pairs where `_add_func` or `_sub_func` disagrees with digit-wise
+    addition: every pair against the add table, or the given pairs."""
+    add, sub = f._add_func(), f._sub_func()
+    bad = 0
+    if table is not None:
+        neg = [_digit_neg(f, c) for c in range(f.q)]
+        for a, row in enumerate(table):
+            bad += sum(add(a, b) != row[b] for b in range(f.q))
+            bad += sum(sub(a, b) != row[neg[b]] for b in range(f.q))
+        return bad
+    for a, b in pairs:
+        bad += add(a, b) != _digit_add(f, a, b)
+        bad += sub(a, b) != _digit_add(f, a, _digit_neg(f, b))
+    return bad
+
+
+def _mutant_zech(f):
+    """A Zech table that adds 2 to the constant digit instead of 1."""
+    exp, log = f._explog()
+    p = f.p
+    return [log[c - c % p + (c % p + 2) % p] for c in exp]
+
+
+@pytest.mark.parametrize("q", ODD_EXT_729)
+def test_zech_matches_the_add_table_on_every_pair(q):
+    f = field_of_order(q)
+    assert _zech_mismatches(f, table=_add_table(f)) == 0
+
+
+@pytest.mark.parametrize("q", [2187, 2197, 3 ** 10])
+def test_zech_matches_digit_addition_sampled(q):
+    f = field_of_order(q)
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(50000)]
+    # the zero cases and b = -a, where the Zech table holds None
+    pairs += [(0, 5), (5, 0), (0, 0), (7, _digit_neg(f, 7)), (9, 9)]
+    assert _zech_mismatches(f, pairs=pairs) == 0
+
+
+def test_mutant_zech_table_is_caught(monkeypatch):
+    f = field_of_order(81)
+    monkeypatch.setattr(f, "_tab", {"zech": _mutant_zech(f)})
+    assert _zech_mismatches(f, table=_add_table(f)) > 0
+    rng = random.Random(0)
+    pairs = [(rng.randrange(81), rng.randrange(81)) for _ in range(200)]
+    assert _zech_mismatches(f, pairs=pairs) > 0
+    assert _field_axiom_failures(81)
+
+
+def _fe_explog(f):
+    """The (exp, log) tables from `Fe` powers and products: the generator
+    is the lexicographically first element of order q - 1."""
+    m = f.q - 1
+    fac = prime_factors(m) if m > 1 else []
+    gen = next(g for g in f.elements()
+               if g and all(g ** (m // r) != f.one for r in fac))
+    exp, log = [0] * m, [None] * f.q
+    acc = f.one
+    for k in range(m):
+        exp[k] = f.code(acc)
+        log[exp[k]] = k
+        acc = acc * gen
+    return exp, log
+
+
+@pytest.mark.parametrize(
+    "q", [q for q in odd_prime_powers(3 ** 7) if field_of_order(q).n > 1]
+    + [2 ** n for n in range(1, 11)])
+def test_explog_matches_fe_products(q):
+    f = field_of_order(q)
+    assert f._explog() == _fe_explog(f)
+
+
+@pytest.mark.parametrize("q", [7, 9, 25, 27, 81, 121, 343, 8, 64])
+def test_neg_and_sqrt_codes_match_fe(q):
+    f = field_of_order(q)
+    neg = f._neg_codes()
+    sq = f._sqrt_codes()
+    for a in f.elements():
+        c = f.code(a)
+        assert neg[c] == f.code(-a)
+        if q % 2:
+            r = sqrt(a)
+            assert sq[c] == (None if r is None else f.code(r))
+        else:
+            assert f.from_code(sq[c]) ** 2 == a
+
+
+def test_fe_mixing_follows_field_equality():
+    interned = make_field(5, 2)
+    twin = Field(5, 2)
+    assert twin is not interned and twin == interned
+    a, b = interned([1, 2]), twin([1, 2])
+    assert a == b and (a + b).coeffs == (2, 4)
+    assert (a * b).coeffs == (interned([1, 2]) ** 2).coeffs
+    other = Field(5, 2, (3, 0, 1))
+    with pytest.raises(ValueError):
+        a + other([1, 2])
+    with pytest.raises(ValueError):
+        a * other([1, 2])
+    assert a != make_field(7, 2)([1, 2])
