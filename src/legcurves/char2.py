@@ -14,7 +14,7 @@ fib[x][v] = |{y : y^2 + xy = v}|, built once by full (x, y) enumeration.
 
 from __future__ import annotations
 
-from .field import DEFAULT_ENUMERATION_CAP, EnumerationCapError, make_field, trace2
+from .field import check_cap, make_field, trace2
 
 _LITERAL_CAP = 256
 
@@ -103,8 +103,7 @@ def char2_count(curve, cap=None):
     a literal (x, y) scan on small fields."""
     f = curve.field
     q = f.q
-    if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-        raise EnumerationCapError(f"counting over {f!r} exceeds the cap")
+    check_cap(q, cap, "counting", f)
     tr = f._trace_codes()
     mul = f._mul_func()
     inv = f._inv_codes()
@@ -155,8 +154,7 @@ def verify_char2_prop(n, cap=None):
     """
     f = make_field(2, n)
     q = f.q
-    if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-        raise EnumerationCapError(f"sweep over {f!r} exceeds the cap")
+    check_cap(q, cap, "sweep", f)
     tr = f._trace_codes()
     mul = f._mul_func()
     inv = f._inv_codes()
@@ -199,8 +197,7 @@ def verify_odd_intersection(n, cap=None):
     lookup."""
     f = make_field(2, n)
     q = f.q
-    if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-        raise EnumerationCapError(f"sweep over {f!r} exceeds the cap")
+    check_cap(q, cap, "sweep", f)
     if q == 2:
         return True  # single lambda, single x
     exp, log = f._explog()
@@ -236,8 +233,7 @@ def frobenius_image_check(lam, cap=None):
     if not lam:
         raise ValueError("lambda = 0 is singular")
     q = f.q
-    if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-        raise EnumerationCapError(f"counting over {f!r} exceeds the cap")
+    check_cap(q, cap, "counting", f)
     n1 = char2_count(Char2Curve(f, 0, lam * lam), cap)
     tr = f._trace_codes()
     mul = f._mul_func()

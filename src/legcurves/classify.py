@@ -50,15 +50,6 @@ def predict_legendre_isogenous(q, n):
     return True
 
 
-def find_witness(q, n, cap=None):
-    """Lexicographically smallest lambda with count(E_lambda) = N, or None."""
-    f = field_of_order(q)
-    for code, count in legendre_count_table(f, cap).items():
-        if count == n:
-            return f.from_code(code)
-    return None
-
-
 @dataclass
 class ClassRecord:
     """One Hasse-interval count over F_q.

@@ -30,6 +30,7 @@ from .curve import (
 from .field import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
+    check_cap,
     field_of_order,
     make_field,
     odd_prime_powers,
@@ -67,7 +68,6 @@ class RunConfig:
     aux_cap: int = stats.DEFAULT_AUX_CAP
     lam: list | None = None
     beta: int = 0
-    scale: str = "full"
 
     def validate(self):
         if not self.values and self.command != "verify-all":
@@ -154,14 +154,16 @@ def _supersingular_rows(task):
         "prime_field_roots": None,
         "roots": None,
     }
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if p * p <= limit:
-        t = supersingular.supersingular_lambdas(p)
-        row["prime_field_roots"] = list(t.prime_field_roots)
-        row["roots"] = [list(r.coeffs) for r in t.roots]
-        if t.prime_field_roots != sorted(t.prime_field_roots) or \
-                len(t.prime_field_roots) != count:
-            raise RuntimeError(f"prime-field root scan mismatch at p={p}")
+    try:
+        check_cap(p * p, cap, "root table", f"GF({p}^2)")
+    except EnumerationCapError:
+        return [row]   # the roots are listed only where the scan fits
+    t = supersingular.supersingular_lambdas(p)
+    row["prime_field_roots"] = list(t.prime_field_roots)
+    row["roots"] = [list(r.coeffs) for r in t.roots]
+    if t.prime_field_roots != sorted(t.prime_field_roots) or \
+            len(t.prime_field_roots) != count:
+        raise RuntimeError(f"prime-field root scan mismatch at p={p}")
     return [row]
 
 
@@ -462,7 +464,11 @@ def run_verify_all(scale, out=None):
     lines = []
     bad = 0
     for name, fn in ALL_SUITES:
-        failures = fn(scale)
+        try:
+            failures = fn(scale)
+        except Exception as exc:
+            # a suite that raises is a failed suite; the others still run
+            failures = [f"raised {type(exc).__name__}: {exc}"]
         if failures:
             bad += 1
             lines.append(f"FAIL {name}: {failures[0]}")

@@ -32,12 +32,7 @@ from array import array
 from math import comb, lcm
 import operator
 
-from .field import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapError,
-    prime_factors,
-    sqrt,
-)
+from .field import check_cap, prime_factors
 
 # Packed operands of `_chi_shift_sums` hold at most this many slots per
 # field element; larger layouts move top digits to an outer loop.
@@ -198,9 +193,7 @@ class Curve:
         """All rational points: infinity first, then affine points with x
         in lexicographic order and the canonical square root first."""
         f = self.field
-        if f.q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-            raise EnumerationCapError(
-                f"point enumeration over {f!r} exceeds the cap")
+        check_cap(f.q, cap, "point enumeration", f)
         roots = tuple(f.code(r) for r in self.roots)
         dinv = f.code(self.delta.inv())
         fc = f.from_code
@@ -212,8 +205,7 @@ class Curve:
         model: chi(d^3 f(x/d)) = chi(d f(x)) because chi(d^2) = 1."""
         f = self.field
         q = f.q
-        if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-            raise EnumerationCapError(f"counting over {f!r} exceeds the cap")
+        check_cap(q, cap, "counting", f)
         chi = f._chi_codes()
         roots = tuple(f.code(r) for r in self.monic_roots())
         n = q + 1 + sum(chi[v] for v in _cubic_codes(f, roots))
@@ -229,9 +221,7 @@ class Curve:
         the model change is a group isomorphism, so the factors carry
         over unchanged."""
         f = self.field
-        if f.q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-            raise EnumerationCapError(
-                f"group structure over {f!r} exceeds the cap")
+        check_cap(f.q, cap, "group structure", f)
         codes = tuple(f.code(r) for r in self.monic_roots())
         return _group_structure_codes(f, codes)
 
@@ -245,39 +235,6 @@ class Curve:
         num = c * c - c + f.one
         den = c * c * (c - f.one) * (c - f.one)
         return f(256) * num * num * num / den
-
-    def descent_image(self, point):
-        """Square classes of (x-alpha, x-beta, x-gamma) at an affine point
-        of a monic curve, as a (+1|-1) triple.  The zero slot at a
-        2-torsion point is the product of the other two."""
-        f = self.field
-        if self.delta != f.one:
-            raise ValueError("the descent map is defined on the monic model")
-        if point.is_infinity:
-            raise ValueError("the descent image is taken at affine points")
-        if not self.contains(point):
-            raise ValueError("point is not on the curve")
-        chi = f._chi_codes()
-        vals = [chi[f.code(point.x - r)] for r in self.roots]
-        if 0 in vals:
-            i = vals.index(0)
-            vals[i] = vals[(i + 1) % 3] * vals[(i + 2) % 3]
-        return tuple(vals)
-
-    def two_isogeny(self):
-        """For a Legendre curve with square lambda: the parameter of the
-        curve isogenous through the kernel {infinity, (0,0)}, computed
-        with the canonical square root s as ((s+1)/(s-1))^2.  None when
-        lambda is a non-square."""
-        lam = self.legendre_lambda
-        if lam is None:
-            raise ValueError("the 2-isogeny image is for Legendre curves")
-        s = sqrt(lam)
-        if s is None:
-            return None
-        one = self.field.one
-        t = (s + one) / (s - one)
-        return t * t
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +366,7 @@ def legendre_count_table(field, cap=None):
     of `_chi_shift_sums` with w[x] = chi(x(x-1)), read at b = -lambda.
     Raises RuntimeError if a count breaks the Hasse bound."""
     q = field.q
-    if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-        raise EnumerationCapError(f"lambda sweep over {field!r} exceeds the cap")
+    check_cap(q, cap, "lambda sweep", field)
     p = field.p
     chi = field._chi_codes()
     mul = field._mul_func()

@@ -30,6 +30,16 @@ class EnumerationCapError(ValueError):
     """An exhaustive operation would touch more elements than its cap."""
 
 
+def check_cap(size, cap, what, where):
+    """Raise EnumerationCapError when the operation `what` over the field
+    `where` would touch `size` elements, more than `cap`; a cap of None
+    is DEFAULT_ENUMERATION_CAP.  The message is built only on failure."""
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if size > limit:
+        raise EnumerationCapError(
+            f"{what} over {where} needs {size} elements, cap is {limit}")
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -61,9 +71,10 @@ def prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# Bare coefficient-list arithmetic over Z/p: it picks and checks the
-# modulus, and `poly.pow_x_mod` runs its prime-field powers on it.
-# Lists are constant-term first with no trailing zeros.
+# Bare coefficient-list arithmetic over Z/p, the one polynomial kernel:
+# it picks and checks the modulus, and `poly.pow_x_mod` and
+# `poly.distinct_root_count` run on it.  Lists are constant-term first
+# with no trailing zeros.
 
 def _ptrim(a):
     while a and a[-1] == 0:
@@ -239,10 +250,7 @@ class Field:
         """All elements in lexicographic coefficient order (constant term
         most significant), as an iterator.  Raises EnumerationCapError
         when q exceeds the cap (default 2**20)."""
-        cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-        if self.q > cap:
-            raise EnumerationCapError(
-                f"enumerating {self!r} needs {self.q} elements, cap is {cap}")
+        check_cap(self.q, cap, "enumeration", self)
 
         def gen():
             for coeffs in itertools.product(range(self.p), repeat=self.n):
@@ -281,10 +289,8 @@ class Field:
             self._tab[name] = value
             return value
 
-    def _check_cap(self, what="table construction"):
-        if self.q > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"{what} for {self!r} exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    def _check_cap(self):
+        check_cap(self.q, None, "table construction", self)
 
     def _lex_codes(self):
         """Codes listed in lexicographic element order."""

@@ -1,9 +1,11 @@
-"""Dense univariate polynomials over a finite field.
+"""Dense univariate polynomials over a prime field.
 
 Coefficients are stored constant term first with no trailing zeros, so
 the zero polynomial is the empty tuple and the leading coefficient of
-anything else is nonzero.  Root finding is exhaustive evaluation, which
-is exact and deterministic at the field sizes this package sweeps.
+anything else is nonzero.  The arithmetic runs on the bare Z/p
+coefficient lists of `field` (`_ppowmod`, `_psub`, `_pgcd`): powers of x
+modulo f by repeated squaring, and the number of distinct roots in
+F_{p^k} as deg gcd(f, x^(p^k) - x).
 
 Includes the one special polynomial the package is built around: the
 characteristic-p polynomial whose roots are exactly the supersingular
@@ -12,7 +14,7 @@ Legendre parameters (degree (p-1)/2, squared-binomial coefficients).
 
 from __future__ import annotations
 
-from .field import Fe, _ppowmod, make_field
+from .field import _pgcd, _ppowmod, _psub, make_field
 
 
 class Poly:
@@ -27,10 +29,6 @@ class Poly:
         self.field = field
         self.coeffs = tuple(out)
 
-    @classmethod
-    def x(cls, field):
-        return cls(field, (0, 1))
-
     @property
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
@@ -44,11 +42,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _same(self, other):
-        if not isinstance(other, Poly) or other.field != self.field:
-            raise ValueError("polynomials over different fields")
-        return other
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -56,61 +49,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.field.q, tuple(c.coeffs for c in self.coeffs)))
-
-    def __add__(self, other):
-        other = self._same(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
-
-    def __sub__(self, other):
-        other = self._same(other)
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly(self.field, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, Fe):
-            return Poly(self.field, tuple(c * other for c in self.coeffs))
-        other = self._same(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(self.field)
-        out = [self.field.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return Poly(self.field, out)
-
-    def __divmod__(self, other):
-        other = self._same(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        linv = other.leading().inv()
-        quot = [self.field.zero] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] * linv
-            if c:
-                quot[i - d] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - d + j] = rem[i - d + j] - c * oc
-        return Poly(self.field, quot), Poly(self.field, rem[:d])
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * self.leading().inv()
 
     def __call__(self, a):
         """Horner evaluation at a field element."""
@@ -137,53 +75,32 @@ class Poly:
         return f"Poly({' + '.join(terms)} over {self.field!r})"
 
 
-def poly_gcd(f, g):
-    """Monic greatest common divisor; gcd(0, 0) is the zero polynomial."""
-    f._same(g)
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def divides(f, g):
-    """Whether f divides g."""
-    if f.is_zero():
-        raise ValueError("divisibility by the zero polynomial")
-    return (g % f).is_zero()
-
-
 def substitute_neg(f):
     """f(-x): negate the odd-index coefficients."""
     return Poly(f.field, tuple(-c if i % 2 else c
                                for i, c in enumerate(f.coeffs)))
 
 
-def pow_x_mod(f, e):
-    """x**e mod f, by repeated squaring; f must have degree >= 1.
-
-    Over a prime field the squaring runs on bare Z/p coefficient lists
-    (`field._ppowmod`) against the monic associate of f, which leaves
-    every remainder unchanged; extension-field coefficients go through
-    `Poly` arithmetic."""
+def _monic_mod(f):
+    """(p, m, x mod m) on bare Z/p lists, with m the monic associate of
+    f, which has the same remainders and the same roots.  f must have
+    degree >= 1 and prime-field coefficients: `Fe.__int__` raises
+    ValueError for any other."""
     if f.degree < 1:
         raise ValueError("modulus must have degree at least 1")
-    field = f.field
-    if field.n == 1:
-        p = field.p
-        m = [int(c) for c in f.coeffs]
-        linv = pow(m[-1], p - 2, p)
-        m = [c * linv % p for c in m]
-        x = [0, 1] if len(m) > 2 else [-m[0] % p]   # x mod (x + m0)
-        return Poly(field, _ppowmod(x, e, m, p))
-    result = Poly(field, (1,))
-    base = Poly.x(field) % f
-    while e:
-        if e & 1:
-            result = (result * base) % f
-        base = (base * base) % f
-        e >>= 1
-    return result
+    p = f.field.p
+    m = [int(c) for c in f.coeffs]
+    linv = pow(m[-1], p - 2, p)
+    m = [c * linv % p for c in m]
+    x = [0, 1] if len(m) > 2 else [-m[0] % p]   # x mod (x + m0)
+    return p, m, x
+
+
+def pow_x_mod(f, e):
+    """x**e mod f over a prime field, by repeated squaring
+    (`field._ppowmod`)."""
+    p, m, x = _monic_mod(f)
+    return Poly(f.field, _ppowmod(x, e, m, p))
 
 
 def distinct_root_count(f, order):
@@ -194,8 +111,8 @@ def distinct_root_count(f, order):
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return 0
-    frob = pow_x_mod(f, order) - (Poly.x(f.field) % f)
-    return poly_gcd(f, frob).degree
+    p, m, x = _monic_mod(f)
+    return len(_pgcd(m, _psub(_ppowmod(x, order, m, p), x, p), p)) - 1
 
 
 def deuring(p):
@@ -212,56 +129,3 @@ def deuring(p):
         row = [1] + [(row[i] + row[i + 1]) % p for i in range(len(row) - 1)] + [1]
     sign = 1 if m % 2 == 0 else p - 1
     return Poly(field, [sign * c * c % p for c in row])
-
-
-def roots_in(f, field, cap=None):
-    """Distinct roots of f in `field`, sorted lexicographically.
-
-    The coefficient field must be `field` itself or its prime subfield
-    (constant embedding).  Exhaustive scan over the field.
-    """
-    if f.is_zero():
-        raise ValueError("every element is a root of the zero polynomial")
-    if f.field == field:
-        codes = [field.code(c) for c in f.coeffs]
-    elif f.field.n == 1 and f.field.p == field.p:
-        # prime subfield embeds as the constant coefficient; with
-        # little-endian codes the code value is unchanged
-        codes = [c.coeffs[0] for c in f.coeffs]
-    else:
-        raise ValueError(f"cannot embed {f.field!r} coefficients into {field!r}")
-
-    field.elements(cap).close()  # cap check only
-    q = field.q
-    if f.degree == 0:
-        return []
-
-    rev = list(reversed(codes))
-    hits = []
-    if codes[0] == 0:
-        hits.append(0)
-    if field.n == 1:
-        p = field.p
-        for x in range(1, q):
-            acc = 0
-            for c in rev:
-                acc = (acc * x + c) % p
-            if acc == 0:
-                hits.append(x)
-    else:
-        exp, log = field._explog()
-        add = field._add_func()
-        m = q - 1
-        for x in range(1, q):
-            lx = log[x]
-            acc = 0
-            for c in rev:
-                if acc:
-                    acc = exp[(log[acc] + lx) % m]
-                if c:
-                    acc = add(acc, c)
-            if acc == 0:
-                hits.append(x)
-    out = [field.from_code(c) for c in hits]
-    out.sort()
-    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import legendre_count_table
-from .field import DEFAULT_ENUMERATION_CAP, EnumerationCapError, field_of_order
+from .field import check_cap, field_of_order
 
 DEFAULT_AUX_CAP = 343
 
@@ -54,8 +54,7 @@ def auxiliary_counts(q, cap=None):
     f = field_of_order(q)
     if f.p == 2:
         raise ValueError("the family sums cover odd characteristic")
-    if q > (DEFAULT_ENUMERATION_CAP if cap is None else cap):
-        raise EnumerationCapError(f"enumeration over {f!r} exceeds the cap")
+    check_cap(q, cap, "enumeration", f)
     sub = f._sub_func()
     mul = f._mul_func()
     hist = [0] * q

@@ -18,16 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
-from .curve import full_four_torsion_rational, legendre, legendre_count_table
-from .field import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapError,
-    _is_prime,
-    is_nth_power,
-    make_field,
-)
+from .curve import legendre, legendre_count_table
+from .field import _is_prime, check_cap, is_nth_power, make_field
 from .poly import Poly, deuring, distinct_root_count, pow_x_mod, substitute_neg
 
 
@@ -75,37 +69,26 @@ def supersingular_lambdas(p):
     """SsTable for p: all roots over F_{p^2} with conjugate pairing."""
     if p == 2 or not _is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    if p * p > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(f"root scan over GF({p}^2) exceeds the cap")
+    check_cap(p * p, None, "root scan", f"GF({p}^2)")
     poly = deuring(p)
     f2 = make_field(p, 2)
-    m0, m1 = f2.modulus[0], f2.modulus[1]
+    # the modulus is t^2 + m0: `_find_modulus` reaches x^2 - n, with n
+    # a non-residue, before any candidate with a linear term
+    m0 = f2.modulus[0]
     rev = [int(c) for c in poly.coeffs][::-1]
     fp_roots = _prime_field_roots(p, rev)
     codes = list(fp_roots)
-    # b and p - b index conjugate elements: a + b*t and (a - b*m1) - b*t
+    # b and p - b index conjugate elements: a + b*t and a - b*t
     for b in range(1, (p - 1) // 2 + 1):
-        if m1 == 0:
-            for a in range(p):
-                ac = 0
-                bc = 0
-                for c in rev:
-                    z = bc * b
-                    ac, bc = (ac * a - z * m0 + c) % p, (ac * b + bc * a) % p
-                if ac == 0 and bc == 0:
-                    codes.append(a + b * p)
-                    codes.append(a + (p - b) * p)
-        else:
-            for a in range(p):
-                ac = 0
-                bc = 0
-                for c in rev:
-                    z = bc * b
-                    ac, bc = ((ac * a - z * m0 + c) % p,
-                              (ac * b + bc * a - z * m1) % p)
-                if ac == 0 and bc == 0:
-                    codes.append(a + b * p)
-                    codes.append((a - b * m1) % p + (p - b) * p)
+        for a in range(p):
+            ac = 0
+            bc = 0
+            for c in rev:
+                z = bc * b
+                ac, bc = (ac * a - z * m0 + c) % p, (ac * b + bc * a) % p
+            if ac == 0 and bc == 0:
+                codes.append(a + b * p)
+                codes.append(a + (p - b) * p)
     if len(codes) != distinct_root_count(poly, p * p):
         raise RuntimeError(
             f"root scan for p={p} disagrees with the gcd-based count")

@@ -249,6 +249,22 @@ class TestVerifyAll:
         assert "FAIL always broken: q=3: synthetic failure" in out
         assert "1/2 suites passed" in out
 
+    def test_raising_suite_fails_and_the_rest_still_run(self, monkeypatch,
+                                                         capsys):
+        def boom(scale):
+            raise RuntimeError("a point order does not divide the group order")
+        fake = (("always raises", boom),
+                ("always fine", lambda scale: []))
+        monkeypatch.setattr(cli, "ALL_SUITES", fake)
+        assert run_main(["verify-all", "--scale", "smoke"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "FAIL always raises: raised RuntimeError: a point order does "
+            "not divide the group order",
+            "ok   always fine",
+            "1/2 suites passed",
+        ]
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

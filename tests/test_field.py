@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from legcurves import char2, stats
 from legcurves.cli import _field_axiom_failures
+from legcurves.curve import legendre, legendre_count_table
 from legcurves.field import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -127,6 +129,36 @@ def test_enumeration_order():
     with pytest.raises(EnumerationCapError):
         make_field(2, 21).elements()
     assert len(list(make_field(2, 10).elements())) == 1024
+
+
+F7 = make_field(7)
+F8 = make_field(2, 3)
+# (operation named in the message, q, call with a cap) for every entry
+# point that takes an enumeration cap
+CAPPED = [
+    ("enumeration", 7, lambda cap: F7.elements(cap)),
+    ("point enumeration", 7, lambda cap: legendre(F7, 3).points(cap)),
+    ("counting", 7, lambda cap: legendre(F7, 3).count_points(cap)),
+    ("group structure", 7, lambda cap: legendre(F7, 3).group_structure(cap)),
+    ("lambda sweep", 7, lambda cap: legendre_count_table(F7, cap)),
+    ("enumeration", 7, lambda cap: stats.auxiliary_counts(7, cap)),
+    ("counting", 8, lambda cap: char2.char2_count(
+        char2.Char2Curve(F8, 0, 1), cap)),
+    ("sweep", 8, lambda cap: char2.verify_char2_prop(3, cap)),
+    ("sweep", 8, lambda cap: char2.verify_odd_intersection(3, cap)),
+    ("counting", 8, lambda cap: char2.frobenius_image_check(F8(1), cap)),
+]
+
+
+@pytest.mark.parametrize("what,q,call", CAPPED,
+                         ids=[f"{w}-q{q}-{i}" for i, (w, q, _) in
+                              enumerate(CAPPED)])
+def test_every_cap_site_raises_just_above_the_cap(what, q, call):
+    call(q)
+    with pytest.raises(EnumerationCapError,
+                       match=f"^{what} over GF\\(.*\\) needs {q} elements, "
+                             f"cap is {q - 1}$"):
+        call(q - 1)
 
 
 def test_codes_roundtrip():

@@ -4,15 +4,12 @@ import random
 
 import pytest
 
-from legcurves.field import make_field
+from legcurves.field import _pgcd, _pmulmod, _ptrim, make_field
 from legcurves.poly import (
     Poly,
     deuring,
     distinct_root_count,
-    divides,
-    poly_gcd,
     pow_x_mod,
-    roots_in,
     substitute_neg,
 )
 
@@ -20,17 +17,54 @@ ODD_PRIMES_200 = [p for p in range(3, 200, 2)
                   if all(p % f for f in range(3, p, 2))]
 
 
+def long_division(a, m, p):
+    """(quotient, remainder) of integer lists a by m over Z/p, by plain
+    long division: the reference for the list kernel's reductions."""
+    linv = pow(m[-1], p - 2, p)
+    d = len(m) - 1
+    r = [c % p for c in a]
+    quot = [0] * max(0, len(r) - d)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i] * linv % p
+        if c:
+            quot[i - d] = c
+            for j in range(d + 1):
+                r[i - d + j] = (r[i - d + j] - c * m[j]) % p
+    return _ptrim(quot), _ptrim(r[:d])
+
+
 def naive_pow_x_mod(f, e):
-    """x**e mod f by square-and-multiply on Poly objects: the reference
-    for the integer-list path of pow_x_mod."""
-    result = Poly(f.field, (1,))
-    base = Poly.x(f.field) % f
-    while e:
-        if e & 1:
-            result = (result * base) % f
-        base = (base * base) % f
-        e >>= 1
-    return result
+    """x**e mod f by long division of the monomial x**e: the reference
+    for the repeated squaring of pow_x_mod."""
+    m = [int(c) for c in f.coeffs]
+    return Poly(f.field, long_division([0] * e + [1], m, f.field.p)[1])
+
+
+def euclid_gcd(a, b, p):
+    """Monic gcd by the Euclidean algorithm on long_division."""
+    while b:
+        a, b = b, long_division(a, b, p)[1]
+    if not a:
+        return []
+    linv = pow(a[-1], p - 2, p)
+    return [c * linv % p for c in a]
+
+
+def count_roots(f, field):
+    """Distinct roots of prime-field f in `field`, by Horner at every
+    element: the reference for distinct_root_count."""
+    coeffs = [field(int(c)) for c in reversed(f.coeffs)]
+    hits = 0
+    for x in field.elements():
+        acc = field.zero
+        for c in coeffs:
+            acc = acc * x + c
+        hits += not acc
+    return hits
+
+
+def random_list(rng, p, top):
+    return _ptrim([rng.randrange(p) for _ in range(rng.randrange(0, top))])
 
 
 def ints(poly):
@@ -47,8 +81,6 @@ def test_representation():
     assert p.leading() == f5(2)
     with pytest.raises(ValueError):
         Poly(f5).leading()
-    with pytest.raises(ValueError):
-        Poly(f5, (1,)) + Poly(make_field(7), (1,))
 
 
 def test_deuring_frozen():
@@ -83,106 +115,84 @@ def test_substitute_neg():
 
 
 def test_divmod_and_divides():
-    f5 = make_field(5)
-    a = Poly(f5, (4, 0, 1))     # x^2 - 1
-    b = Poly(f5, (1, 1))        # x + 1
-    q, r = divmod(a, b)
-    assert ints(q) == [4, 1] and r.is_zero()
-    assert divides(b, a)
-    assert not divides(Poly(f5, (0, 0, 1)), Poly.x(f5))
-    with pytest.raises(ZeroDivisionError):
-        divmod(a, Poly(f5))
-    with pytest.raises(ValueError):
-        divides(Poly(f5), a)
-    # reassembly check on random pairs
+    # the list kernel's product mod f is the remainder of the plain
+    # product, and that division reassembles
+    assert long_division([4, 0, 1], [1, 1], 5) == ([4, 1], [])
     rng = random.Random(7)
     for _ in range(200):
-        f = Poly(f5, [rng.randrange(5) for _ in range(rng.randrange(1, 8))])
-        g = Poly(f5, [rng.randrange(5) for _ in range(rng.randrange(1, 6))])
-        if g.is_zero():
-            continue
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.degree < g.degree
+        f = random_list(rng, 5, 6) + [1]
+        a, b = random_list(rng, 5, 8), random_list(rng, 5, 8)
+        prod = [0] * (len(a) + len(b))
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        quot, rem = long_division(prod, f, 5)
+        assert _pmulmod(a, b, f, 5) == rem
+        assert len(rem) < len(f)
+        back = [0] * max(len(prod), len(quot) + len(f))
+        for i, qi in enumerate(quot):
+            for j, fj in enumerate(f):
+                back[i + j] += qi * fj
+        for i, r in enumerate(rem):
+            back[i] += r
+        assert _ptrim([c % 5 for c in back]) == _ptrim([c % 5 for c in prod])
 
 
 def test_gcd_basic():
-    f5 = make_field(5)
-    a = Poly(f5, (4, 0, 1))
-    b = Poly(f5, (1, 1))
-    assert ints(poly_gcd(a, b)) == [1, 1]
-    assert poly_gcd(Poly(f5), Poly(f5)).is_zero()
-    g = poly_gcd(a, Poly(f5))
-    assert g == a.monic()
-    # gcd is monic
-    assert ints(poly_gcd(Poly(f5, (2, 2)), Poly(f5, (2, 2)))) == [1, 1]
+    a = [4, 0, 1]                           # x^2 - 1 over F_5
+    assert _pgcd(a, [1, 1], 5) == [1, 1]
+    assert _pgcd([], [], 5) == []
+    assert _pgcd(a, [], 5) == a             # gcd(a, 0) is monic a
+    assert _pgcd([], [2, 4], 5) == [3, 1]   # ... on either side
+    assert _pgcd([2, 2], [2, 2], 5) == [1, 1]
 
 
 def test_gcd_vs_divides_randomized():
     rng = random.Random(11)
-    for q in (5, 7):
-        f = make_field(q)
+    for p in (5, 7):
         for _ in range(500):
-            a = Poly(f, [rng.randrange(q) for _ in range(rng.randrange(1, 7))])
-            b = Poly(f, [rng.randrange(q) for _ in range(rng.randrange(1, 7))])
-            if a.is_zero() or b.is_zero():
-                continue
-            assert divides(a, b) == (poly_gcd(a, b) == a.monic())
+            a, b = random_list(rng, p, 7), random_list(rng, p, 7)
+            g = _pgcd(a, b, p)
+            assert g == euclid_gcd(a, b, p)
+            if a:
+                # a divides b exactly when gcd(a, b) is monic a
+                divides = long_division(b, a, p)[1] == []
+                assert divides == (g == euclid_gcd(a, [], p))
 
 
 def test_roots_frozen():
-    assert [int(x) for x in roots_in(deuring(7), make_field(7))] == [2, 4, 6]
-    assert roots_in(deuring(5), make_field(5)) == []
-    r25 = roots_in(deuring(5), make_field(5, 2))
-    assert len(r25) == 2
-    assert [x.coeffs for x in r25] == [(3, 1), (3, 4)]
-    d5 = deuring(5)
-    f25 = make_field(5, 2)
-    for x in r25:
-        acc = f25.zero
-        for c in reversed(d5.coeffs):
-            acc = acc * x + f25(int(c))
-        assert acc == f25.zero
-
-
-def test_roots_sorted_and_distinct():
-    f9 = make_field(3, 2)
-    # x^2 - x = x(x-1): roots 0 and 1
-    p = Poly(make_field(3), (0, 2, 1))
-    r = roots_in(p, f9)
-    assert r == sorted(r)
-    assert [x.coeffs for x in r] == [(0, 0), (1, 0)]
-    # squared factor still yields one root
-    sq = Poly(f9, (1, 2, 1))    # (x+1)^2
-    assert [x.coeffs for x in roots_in(sq, f9)] == [(2, 0)]
+    assert distinct_root_count(deuring(7), 7) == 3     # 2, 4, 6
+    assert distinct_root_count(deuring(5), 5) == 0
+    assert distinct_root_count(deuring(5), 25) == 2    # 3 + t, 3 + 4t
+    f3 = make_field(3)
+    # x^2 - x = x(x - 1) has the roots 0 and 1 in F_9, and a squared
+    # factor counts once
+    assert distinct_root_count(Poly(f3, (0, 2, 1)), 9) == 2
+    assert distinct_root_count(Poly(f3, (1, 2, 1)), 9) == 1
+    assert distinct_root_count(Poly(f3, (2,)), 9) == 0
 
 
 def test_roots_embedding_errors():
-    d5 = deuring(5)
+    # the kernel is Z/p: extension-field coefficients do not convert
+    f25 = make_field(5, 2)
     with pytest.raises(ValueError):
-        roots_in(d5, make_field(7))
+        distinct_root_count(Poly(f25, (f25.from_code(5), 1)), 25)
     with pytest.raises(ValueError):
-        roots_in(Poly(make_field(5, 2), (1, 1)), make_field(5, 4))
-    with pytest.raises(ValueError):
-        roots_in(Poly(make_field(5)), make_field(5))
+        distinct_root_count(Poly(make_field(5)), 5)
 
 
 def test_pow_x_mod():
     f7 = make_field(7)
     g = substitute_neg(deuring(7))
     assert pow_x_mod(g, 6) == Poly(f7, (1,))
-    # literal division agrees
-    x6m1 = Poly(f7, [6] + [0] * 5 + [1])
-    assert divides(g, x6m1)
+    # literal division agrees: g divides x^6 - 1
+    assert long_division([6] + [0] * 5 + [1], [int(c) for c in g.coeffs],
+                         7)[1] == []
     with pytest.raises(ValueError):
         pow_x_mod(Poly(f7, (3,)), 5)
-    # agreement with naive power for small exponents
     f = Poly(f7, (1, 2, 0, 1))
-    acc = Poly(f7, (1,))
-    x = Poly.x(f7)
     for e in range(10):
-        assert pow_x_mod(f, e) == acc % f
-        acc = acc * x
+        assert pow_x_mod(f, e) == naive_pow_x_mod(f, e)
 
 
 @pytest.mark.parametrize("p", [p for p in ODD_PRIMES_200 if p <= 61])
@@ -195,20 +205,25 @@ def test_pow_x_mod_list_path_matches_poly_path(p):
 
 
 def test_pow_x_mod_extension_coefficients():
+    # only prime-field coefficients reach the Z/p kernel
     f9 = make_field(3, 2)
     t = f9.from_code(3)
     g = Poly(f9, (t, 1, 0, 2 * t))
-    for e in (0, 1, 2, 3, 9, 80, 81):
-        assert pow_x_mod(g, e) == naive_pow_x_mod(g, e), e
+    with pytest.raises(ValueError):
+        pow_x_mod(g, 9)
+    # a constant of the prime subfield is still an extension element
+    with pytest.raises(ValueError):
+        pow_x_mod(Poly(f9, (1, 1)), 9)
 
 
-def test_pow_x_mod_prime_path_avoids_poly_arithmetic(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("Poly arithmetic on the prime-field path")
-    monkeypatch.setattr(Poly, "__mul__", forbidden)
-    monkeypatch.setattr(Poly, "__divmod__", forbidden)
+def test_pow_x_mod_prime_path_avoids_poly_arithmetic():
+    # Poly holds coefficients only: the arithmetic is the list kernel
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__divmod__",
+               "__mod__", "monic"):
+        assert not hasattr(Poly, op), op
     # the deuring polynomial splits into distinct factors over F_{p^2}
-    assert pow_x_mod(deuring(199), 199 ** 2) == Poly.x(make_field(199))
+    x = Poly(make_field(199), (0, 1))
+    assert pow_x_mod(deuring(199), 199 ** 2) == x
     assert pow_x_mod(substitute_neg(deuring(199)), (199 ** 2 - 1) // 8) \
         == Poly(make_field(199), (1,))
 
@@ -216,10 +231,8 @@ def test_pow_x_mod_prime_path_avoids_poly_arithmetic(monkeypatch):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_root_count_matches_gcd_degree(p):
     d = deuring(p)
-    fp = make_field(p)
-    fp2 = make_field(p, 2)
-    assert len(roots_in(d, fp)) == distinct_root_count(d, p)
-    assert len(roots_in(d, fp2)) == distinct_root_count(d, p * p)
+    assert count_roots(d, make_field(p)) == distinct_root_count(d, p)
+    assert count_roots(d, make_field(p, 2)) == distinct_root_count(d, p * p)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_200)

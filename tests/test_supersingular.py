@@ -11,7 +11,7 @@ from legcurves import (
 from legcurves import supersingular
 from legcurves.curve import legendre_count_table
 from legcurves.field import _is_prime
-from legcurves.poly import deuring, roots_in
+from legcurves.poly import deuring
 from legcurves.supersingular import (
     class_number,
     supersingular_lambdas,
@@ -23,6 +23,20 @@ from legcurves.supersingular import (
 )
 
 SMALL_PRIMES = [p for p in range(3, 62, 2) if _is_prime(p)]
+
+
+def roots_in(f, field):
+    """Distinct roots of prime-field f in `field`, lex-sorted, by Horner
+    at every element: the generic reference for the root tables."""
+    coeffs = [field(int(c)) for c in reversed(f.coeffs)]
+    out = []
+    for x in field.elements():
+        acc = field.zero
+        for c in coeffs:
+            acc = acc * x + c
+        if not acc:
+            out.append(x)
+    return out
 
 
 class TestRootTables:
@@ -57,6 +71,13 @@ class TestRootTables:
     def test_matches_generic_root_finder(self, p):
         t = supersingular_lambdas(p)
         assert t.roots == roots_in(t.polynomial, make_field(p, 2))
+
+    def test_quadratic_modulus_has_no_linear_term(self):
+        # x^2 - n, n a non-residue, comes before any x^2 + x + c in the
+        # modulus scan, so the root scan steps through t^2 = -m0 only
+        for p in range(3, 1024, 2):
+            if _is_prime(p):
+                assert make_field(p, 2).modulus[1] == 0, p
 
     def test_prime_field_roots_consistent(self):
         for p in SMALL_PRIMES:
