@@ -160,12 +160,21 @@ def census_summary(q, cap=None):
 
 
 def verify_isogeny_window(q, cap=None):
-    """Check the classification against the all-curves oracle; returns a
-    list of failure descriptions, empty when everything matches."""
+    """Check the classification, and `predict_legendre_isogenous` on
+    every attained count, against the all-curves oracle and the Legendre
+    witnesses; returns a list of failure descriptions, empty when
+    everything matches."""
     failures = []
     records = census(q, cap)
     for rec in records:
         n = rec.n
+        if rec.attained:
+            criterion = predict_legendre_isogenous(q, n)
+            if criterion != rec.legendre_isogenous:
+                failures.append(
+                    f"q={q} N={n}: the criterion predicts {criterion}, the "
+                    f"census has {len(rec.legendre_witnesses)} Legendre "
+                    f"witnesses")
         if rec.legendre_isogenous:
             if n % 4:
                 failures.append(f"q={q} N={n}: Legendre count not in 4Z")

@@ -356,17 +356,27 @@ def suite_char2(scale="full"):
         if not c2.verify_char2_prop(n):
             failures.append(f"n={n}: count divisibility by 4 does not match "
                             f"the quadratic-coefficient trace")
+        if not c2.verify_odd_intersection(n):
+            failures.append(f"n={n}: some trace intersection count is even")
         f = make_field(2, n)
         alpha = next(f.from_code(c) for c in range(1, f.q)
                      if trace2(f.from_code(c)) == 1)
+        # a twist by a trace-0 element is isomorphic (0 when n = 1)
+        beta = next((f.from_code(c) for c in range(1, f.q)
+                     if trace2(f.from_code(c)) == 0), f(0))
         for lc in range(1, f.q):
             lam = f.from_code(lc)
             e0 = c2.Char2Curve(f, f(0), lam)
+            e1 = c2.char2_twist(e0, alpha)
             n0 = c2.char2_count(e0)
-            n1 = c2.char2_count(c2.char2_twist(e0, alpha))
+            n1 = c2.char2_count(e1)
             if n0 + n1 != 2 ** (n + 1) + 2:
                 failures.append(f"n={n}, lambda code {lc}: twist counts sum "
                                 f"to {n0 + n1}, not 2^{n + 1}+2")
+            if (c2.char2_is_isomorphic(e0, e1)
+                    or not c2.char2_is_isomorphic(e0, c2.char2_twist(e0, beta))):
+                failures.append(f"n={n}, lambda code {lc}: the twist classes "
+                                f"do not follow the trace of the twist")
             if not c2.frobenius_image_check(lam):
                 failures.append(f"n={n}, lambda code {lc}: squared-lambda "
                                 f"count differs from the image-model count")

@@ -2,25 +2,28 @@
 fields, stored in split-root form: delta*y^2 = (x-alpha)(x-beta)(x-gamma).
 
 Nonsingularity is the statement that the three roots are distinct, so it
-is checked at construction.  The chord-tangent law on `Fe` points
-(`Curve.add`, `Curve.multiply`) is evaluated directly on the twisted
-model (the twist coefficient enters the slope term only); it is the
-public law, and `verify_group_law` checks it.  The isomorphism test does
-an explicit coordinate-change search, which stays affordable at desk
-scale and has no special cases at j = 0 or 1728.
+is checked at construction.  The isomorphism test does an explicit
+coordinate-change search, which stays affordable at desk scale and has
+no special cases at j = 0 or 1728.
 
-Point enumeration, point counting, group structure and the 2-descent
-sweep share the three primitives of the integer-code engine, which work
-on element codes with the field's O(q) lookup tables (extension fields
-add by Zech's logarithm): `_cubic_codes` (the cubic
+The chord-tangent law is written once, on integer element codes:
+`_chord_tangent` (the twist coefficient scales the slope term only),
+with `_ladder` for scalar multiples.  `Curve.add` and `Curve.multiply`
+convert `Fe` points to codes and back around it, and `verify_group_law`
+checks the same law that every sweep runs.
+
+Point enumeration, point counting, group structure, the four-torsion
+count and the 2-descent sweep share the primitives of the integer-code
+engine, which work on element codes with the field's O(q) lookup tables
+(extension fields add by Zech's logarithm): `_cubic_codes` (the cubic
 at every x), `_affine_codes` (the affine points, in the order
-`Curve.points` returns them) and `_chord_tangent` (the group law of a
-monic model on code pairs).  The lambda-line count table and the
-all-curves oracle of `classify` share a fourth, `_chi_shift_sums`: the
-character sums sum_v w[v] * chi(v + b) for every b at once, from one
-exact product of two packed integers; the self-twist sweep reads its
-q + 1 prefilter from that table too.  The verify_* sweeps at the bottom
-are exhaustive oracles used by the test suite and the CLI.
+`Curve.points` returns them) and `_chord_tangent`.  The lambda-line
+count table and the all-curves oracle of `classify` share a fourth,
+`_chi_shift_sums`: the character sums sum_v w[v] * chi(v + b) for every
+b at once, from one exact product of two packed integers; the
+self-twist sweep reads its q + 1 prefilter from that table too.  The
+verify_* sweeps at the bottom are exhaustive oracles used by the test
+suite and the CLI.
 """
 
 from __future__ import annotations
@@ -69,6 +72,19 @@ class Point:
 
 
 INFINITY = Point()
+
+
+def _point_codes(field, point):
+    """(x, y) codes of a point, None for infinity."""
+    if point.is_infinity:
+        return None
+    return field.code(point.x), field.code(point.y)
+
+
+def _code_point(field, codes):
+    if codes is None:
+        return INFINITY
+    return Point(field.from_code(codes[0]), field.from_code(codes[1]))
 
 
 def _short(e):
@@ -147,29 +163,19 @@ class Curve:
             raise ValueError("point is not on the curve")
         return self._add(p1, p2)
 
-    def _add(self, p1, p2):
-        if p1.is_infinity:
-            return p2
-        if p2.is_infinity:
-            return p1
+    def _law(self):
+        """`_chord_tangent` on this curve's root and delta codes."""
         f = self.field
-        x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
-        s1 = self.alpha + self.beta + self.gamma
-        if x1 == x2:
-            if y1 == -y2:
-                return INFINITY
-            if y1 != y2:
-                raise RuntimeError("impossible point pair; inputs off-curve?")
-            # tangent: implicit differentiation of delta*y^2 = f(x)
-            fp = (f(3) * x1 * x1 - f(2) * s1 * x1
-                  + self.alpha * self.beta + self.alpha * self.gamma
-                  + self.beta * self.gamma)
-            m = fp / (f(2) * self.delta * y1)
-        else:
-            m = (y2 - y1) / (x2 - x1)
-        x3 = self.delta * m * m + s1 - x1 - x2
-        y3 = -(y1 + m * (x3 - x1))
-        return Point(x3, y3)
+        roots = tuple(f.code(r) for r in self.roots)
+        return _chord_tangent(f, roots, f.code(self.delta))
+
+    def _add(self, p1, p2):
+        f = self.field
+        c1, c2 = _point_codes(f, p1), _point_codes(f, p2)
+        if (c1 is not None and c2 is not None and c1[0] == c2[0]
+                and c1[1] != c2[1] and c1[1] != f._neg_codes()[c2[1]]):
+            raise RuntimeError("impossible point pair; inputs off-curve?")
+        return _code_point(f, self._law()(c1, c2))
 
     def multiply(self, point, k):
         if not self.contains(point):
@@ -179,13 +185,8 @@ class Curve:
     def _multiply(self, point, k):
         if k < 0:
             point, k = self.neg(point), -k
-        acc = INFINITY
-        while k:
-            if k & 1:
-                acc = self._add(acc, point)
-            point = self._add(point, point)
-            k >>= 1
-        return acc
+        f = self.field
+        return _code_point(f, _ladder(self._law(), _point_codes(f, point), k))
 
     # -- enumeration ---------------------------------------------------
 
@@ -289,11 +290,17 @@ def full_four_torsion_rational(curve):
 
 
 def count_four_torsion(curve, cap=None):
-    """Number of rational points killed by 4 (including infinity)."""
+    """Number of rational points killed by 4 (including infinity),
+    counted on the monic model: P counts when 2P is infinity or has
+    y = 0."""
+    f = curve.field
+    check_cap(f.q, cap, "point enumeration", f)
+    roots = tuple(f.code(r) for r in curve.monic_roots())
+    eadd = _chord_tangent(f, roots)
     total = 1
-    for pt in curve.points(cap)[1:]:
-        d = curve._add(pt, pt)
-        if d.is_infinity or not d.y:
+    for pt in _affine_codes(f, roots):
+        d = eadd(pt, pt)
+        if d is None or not d[1]:
             total += 1
     return total
 
@@ -530,9 +537,11 @@ def _affine_codes(field, roots, dinv=1):
     return out
 
 
-def _chord_tangent(field, roots):
-    """The group law of y^2 = (x-ra)(x-rb)(x-rc) on (x, y) code pairs,
-    with None for infinity."""
+def _chord_tangent(field, roots, dc=1):
+    """The group law of dc*y^2 = (x-ra)(x-rb)(x-rc) on (x, y) code pairs,
+    with None for infinity.  The twist code dc scales m^2 in x3 and the
+    tangent denominator 2*dc*y1; a pair with x1 == x2 that is not
+    P, -P is taken as P, P, so callers pass points of the curve."""
     add = field._add_func()
     sub = field._sub_func()
     mul = field._mul_func()
@@ -540,6 +549,7 @@ def _chord_tangent(field, roots):
     neg = field._neg_codes()
     ra, rb, rc = roots
     two = field.code(field(2))
+    twod = mul(two, dc)
     s1 = add(add(ra, rb), rc)
     s2 = add(add(mul(ra, rb), mul(ra, rc)), mul(rb, rc))
 
@@ -555,12 +565,27 @@ def _chord_tangent(field, roots):
                 return None
             x1s = mul(x1, x1)
             fp = add(sub(add(add(x1s, x1s), x1s), mul(two, mul(s1, x1))), s2)
-            m = mul(fp, inv[mul(two, y1)])
+            m = mul(fp, inv[mul(twod, y1)])
         else:
             m = mul(sub(y2, y1), inv[sub(x2, x1)])
-        x3 = sub(sub(add(mul(m, m), s1), x1), x2)
+        mm = mul(m, m)
+        if dc != 1:
+            mm = mul(dc, mm)
+        x3 = sub(sub(add(mm, s1), x1), x2)
         return x3, neg[add(y1, mul(m, sub(x3, x1)))]
     return eadd
+
+
+def _ladder(eadd, point, k):
+    """[k]point for k >= 0 by double-and-add with the law eadd."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = eadd(acc, point)
+        k >>= 1
+        if k:
+            point = eadd(point, point)
+    return acc
 
 
 def _group_structure_codes(field, roots):
@@ -569,17 +594,6 @@ def _group_structure_codes(field, roots):
     #E, R = [#E/l^a]P is multiplied by l until it reaches infinity."""
     affine = _affine_codes(field, roots)
     eadd = _chord_tangent(field, roots)
-
-    def emul(point, k):
-        acc = None
-        while k:
-            if k & 1:
-                acc = eadd(acc, point)
-            k >>= 1
-            if k:
-                point = eadd(point, point)
-        return acc
-
     n = len(affine) + 1
     ladders = []
     for ell in prime_factors(n):
@@ -591,12 +605,12 @@ def _group_structure_codes(field, roots):
     for pt in affine:
         o = 1
         for ell, a, cofactor in ladders:
-            r = emul(pt, cofactor)
+            r = _ladder(eadd, pt, cofactor)
             while r is not None:
                 if a == 0:
                     raise RuntimeError(
                         "a point order does not divide the group order")
-                r = emul(r, ell)
+                r = _ladder(eadd, r, ell)
                 o *= ell
                 a -= 1
         exponent = lcm(exponent, o)
@@ -644,7 +658,9 @@ def _unrank_triple(q, r):
 
 
 def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
-    """Associativity, commutativity, inverses, identity and closure.
+    """Associativity, commutativity, inverses, identity and closure of
+    `_chord_tangent`, the law every sweep and `Curve.add` run, on code
+    points of twisted curves delta*y^2 = (x-ra)(x-rb)(x-rc).
 
     Exhaustive over curves and point triples while the totals stay below
     the `curves` / `triples` budgets, seeded random samples beyond that.
@@ -663,16 +679,23 @@ def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
         # range(1, q), without building the list
         chosen = [(_unrank_triple(q, rng.randrange(n_triples)),
                    1 + rng.randrange(q - 1)) for _ in range(curves)]
-    for (ra, rb, rc), dc in chosen:
-        e = Curve(field, field.from_code(ra), field.from_code(rb),
-                  field.from_code(rc), field.from_code(dc))
-        pts = e.points(cap)
-        tag = f"q={q} roots=({ra},{rb},{rc}) delta={dc}"
+    check_cap(q, cap, "point enumeration", field)
+    mul = field._mul_func()
+    inv = field._inv_codes()
+    neg = field._neg_codes()
+    for roots, dc in chosen:
+        # validates the roots and delta
+        Curve(field, *map(field.from_code, roots), field.from_code(dc))
+        eadd = _chord_tangent(field, roots, dc)
+        cubic = _cubic_codes(field, roots)
+        pts = [None] + _affine_codes(field, roots, inv[dc])
+        tag = f"q={q} roots=({roots[0]},{roots[1]},{roots[2]}) delta={dc}"
         for pt in pts:
-            if e._add(pt, INFINITY) != pt:
-                failures.append(f"{tag}: infinity is not neutral at {pt!r}")
-            if not e._add(pt, e.neg(pt)).is_infinity:
-                failures.append(f"{tag}: {pt!r} plus its negative is affine")
+            if eadd(pt, None) != pt:
+                failures.append(f"{tag}: infinity is not neutral at {pt}")
+            minus = None if pt is None else (pt[0], neg[pt[1]])
+            if eadd(pt, minus) is not None:
+                failures.append(f"{tag}: {pt} plus its negative is affine")
         n = len(pts)
         if n ** 3 <= triples:
             trips = itertools.product(pts, pts, pts)
@@ -680,13 +703,15 @@ def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
             trips = ((rng.choice(pts), rng.choice(pts), rng.choice(pts))
                      for _ in range(triples))
         for a, b, c in trips:
-            ab = e._add(a, b)
-            if not e.contains(ab):
+            # both partial sums must be points before they are added again
+            ab, bc = eadd(a, b), eadd(b, c)
+            if any(s is not None and mul(dc, mul(s[1], s[1])) != cubic[s[0]]
+                   for s in (ab, bc)):
                 failures.append(f"{tag}: sum of two points left the curve")
                 continue
-            if ab != e._add(b, a):
+            if ab != eadd(b, a):
                 failures.append(f"{tag}: addition is not commutative")
-            if e._add(ab, c) != e._add(a, e._add(b, c)):
+            if eadd(ab, c) != eadd(a, bc):
                 failures.append(f"{tag}: addition is not associative")
     return failures
 

@@ -37,11 +37,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -49,14 +44,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.field.q, tuple(c.coeffs for c in self.coeffs)))
-
-    def __call__(self, a):
-        """Horner evaluation at a field element."""
-        a = self.field(a)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
 
     def __repr__(self):
         if not self.coeffs:

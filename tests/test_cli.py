@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from legcurves import char2 as c2
 from legcurves import classify, cli
 
 
@@ -264,6 +265,30 @@ class TestVerifyAll:
             "ok   always fine",
             "1/2 suites passed",
         ]
+
+
+    # the paper claims that only the unit tests used to call: a wrong
+    # claim must now fail its verify-all suite
+    def test_isogeny_window_checks_the_criterion(self, monkeypatch):
+        # drops the (r+1)^2 exception for square q
+        monkeypatch.setattr(classify, "predict_legendre_isogenous",
+                            lambda q, n: n % 4 == 0)
+        failures = cli.suite_isogeny_window("smoke")
+        assert any("q=9 N=4: the criterion predicts True" in msg
+                   for msg in failures), failures
+
+    def test_char2_suite_checks_the_twist_classes(self, monkeypatch):
+        # ignores the trace of the twist
+        monkeypatch.setattr(c2, "char2_is_isomorphic",
+                            lambda e1, e2: e1.lam == e2.lam)
+        failures = cli.suite_char2("smoke")
+        assert any("twist classes" in msg for msg in failures), failures[:3]
+
+    def test_char2_suite_checks_the_odd_intersection(self, monkeypatch):
+        monkeypatch.setattr(c2, "verify_odd_intersection",
+                            lambda n, cap=None: n != 3)
+        assert cli.suite_char2("smoke") == [
+            "n=3: some trace intersection count is even"]
 
 
 class TestEntryPoint:

@@ -97,6 +97,89 @@ def per_divisor_group_structure(field, roots):
     return (n // exponent, exponent)
 
 
+def fe_chord_tangent(curve, p1, p2):
+    """The chord-tangent law of delta*y^2 = (x-alpha)(x-beta)(x-gamma)
+    on Fe points: the reference for the integer-code `_chord_tangent`."""
+    if p1.is_infinity:
+        return p2
+    if p2.is_infinity:
+        return p1
+    f = curve.field
+    a, b, c = curve.roots
+    x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
+    s1 = a + b + c
+    if x1 == x2:
+        if y1 == -y2:
+            return INFINITY
+        if y1 != y2:
+            raise RuntimeError("impossible point pair; inputs off-curve?")
+        # tangent: implicit differentiation of delta*y^2 = f(x)
+        fp = f(3) * x1 * x1 - f(2) * s1 * x1 + a * b + a * c + b * c
+        m = fp / (f(2) * curve.delta * y1)
+    else:
+        m = (y2 - y1) / (x2 - x1)
+    x3 = curve.delta * m * m + s1 - x1 - x2
+    return Point(x3, -(y1 + m * (x3 - x1)))
+
+
+def fe_count_four_torsion(curve):
+    """Points killed by 4, each doubled with the Fe law on the curve
+    itself: the reference for the monic-model code count."""
+    total = 1
+    for pt in curve.points()[1:]:
+        d = fe_chord_tangent(curve, pt, pt)
+        if d.is_infinity or not d.y:
+            total += 1
+    return total
+
+
+# mutants of the code law, which verify_group_law must reject; each
+# wraps the real law, kept here before any test patches it
+_chord_tangent = curve_module._chord_tangent
+
+
+def wrong_tangent_law(field, roots, dc=1):
+    """2*x^2 in place of 3*x^2 in the tangent slope."""
+    law = _chord_tangent(field, roots, dc)
+    add, sub, mul = field._add_func(), field._sub_func(), field._mul_func()
+    inv, neg = field._inv_codes(), field._neg_codes()
+    ra, rb, rc = roots
+    two = field.code(field(2))
+    s1 = add(add(ra, rb), rc)
+    s2 = add(add(mul(ra, rb), mul(ra, rc)), mul(rb, rc))
+
+    def eadd(p1, p2):
+        if p1 is None or p1 != p2 or not p1[1]:
+            return law(p1, p2)
+        x1, y1 = p1
+        fp = add(sub(mul(two, mul(x1, x1)), mul(two, mul(s1, x1))), s2)
+        m = mul(fp, inv[mul(mul(two, dc), y1)])
+        x3 = sub(sub(add(mul(dc, mul(m, m)), s1), x1), x1)
+        return x3, neg[add(y1, mul(m, sub(x3, x1)))]
+    return eadd
+
+
+def y_plus_one_law(field, roots, dc=1):
+    """Every affine sum has y + 1 in place of y."""
+    law = _chord_tangent(field, roots, dc)
+    add = field._add_func()
+
+    def eadd(p1, p2):
+        r = law(p1, p2)
+        return None if r is None else (r[0], add(r[1], 1))
+    return eadd
+
+
+def no_inverse_law(field, roots, dc=1):
+    """P + (-P) is P."""
+    law = _chord_tangent(field, roots, dc)
+
+    def eadd(p1, p2):
+        r = law(p1, p2)
+        return p1 if r is None and p1 is not None else r
+    return eadd
+
+
 def fe_root_transform_exists(field, roots1, roots2):
     """The isomorphism search on Fe elements: the reference for the
     integer-code search of `_root_transform_exists`."""
@@ -380,24 +463,53 @@ class TestGroupLaw:
             assert (curve_module._group_structure_codes(f, roots)
                     == per_divisor_group_structure(f, roots) == (32, 32))
 
-    @pytest.mark.parametrize("field", [F7, F9], ids=lambda f: f"q{f.q}")
+    @pytest.mark.parametrize("field", [F7, F9, F25, F27],
+                             ids=lambda f: f"q{f.q}")
     def test_code_law_matches_fe_law(self, field):
-        # the integer-code law of the sweeps against the public Fe law,
-        # on every monic curve and every ordered pair of points
+        # the integer-code law and the public Curve._add against the Fe
+        # reference, on every ordered pair of points of each curve and of
+        # its twist by a non-square; every monic curve up to q = 9, a
+        # seeded sample of 12 above
         def code(pt):
             return None if pt.is_infinity else (field.code(pt.x),
                                                 field.code(pt.y))
-        for roots in itertools.combinations(range(field.q), 3):
-            e = Curve(field, *map(field.from_code, roots))
-            eadd = curve_module._chord_tangent(field, roots)
-            pts = e.points()
-            for p1, p2 in itertools.product(pts, pts):
-                assert eadd(code(p1), code(p2)) == code(e._add(p1, p2))
+        triples = list(itertools.combinations(range(field.q), 3))
+        if field.q > 9:
+            triples = random.Random(field.q).sample(triples, 12)
+        nonsquare = curve_module._first_nonsquare_code(field)
+        for roots in triples:
+            for dc in (1, nonsquare):
+                e = Curve(field, *map(field.from_code, roots),
+                          field.from_code(dc))
+                eadd = curve_module._chord_tangent(field, roots, dc)
+                pts = e.points()
+                for p1, p2 in itertools.product(pts, pts):
+                    want = fe_chord_tangent(e, p1, p2)
+                    assert eadd(code(p1), code(p2)) == code(want)
+                    assert e._add(p1, p2) == want
+
+    def test_impossible_pair_rejected(self):
+        e = legendre(F5, 2)
+        p = Point(F5(3), F5(1))
+        with pytest.raises(RuntimeError, match="impossible point pair"):
+            e._add(p, Point(F5(3), F5(2)))
 
     @pytest.mark.parametrize("field", [F3, F5, F7, F9, F11, F13],
                              ids=lambda f: f"q{f.q}")
     def test_group_law_sweep(self, field):
         assert verify_group_law(field, curves=30, triples=120) == []
+
+    @pytest.mark.parametrize("mutant,message", [
+        (wrong_tangent_law, "not associative"),
+        (y_plus_one_law, "left the curve"),
+        (no_inverse_law, "plus its negative is affine"),
+    ], ids=["wrong-tangent", "y-plus-one", "no-inverse"])
+    @pytest.mark.parametrize("field", [F5, F9, F13], ids=lambda f: f"q{f.q}")
+    def test_group_law_sweep_catches_a_mutant(self, field, mutant, message,
+                                              monkeypatch):
+        monkeypatch.setattr(curve_module, "_chord_tangent", mutant)
+        failures = verify_group_law(field, curves=30, triples=120)
+        assert any(message in msg for msg in failures), failures[:3]
 
     def test_unrank_triple_follows_combinations(self):
         for q in (3, 4, 5, 9, 16):
@@ -703,6 +815,16 @@ class TestFourTorsion:
             for c in legendre_count_table(field):
                 assert count_four_torsion(
                     legendre(field, field.from_code(c))) in (4, 8, 16)
+
+    @pytest.mark.parametrize("q", odd_prime_powers(49))
+    def test_code_count_matches_fe_count(self, q):
+        # every Legendre curve and its twist by the first non-square
+        field = field_of_order(q)
+        d0 = field.from_code(curve_module._first_nonsquare_code(field))
+        for lamc in legendre_count_table(field):
+            e = legendre(field, field.from_code(lamc))
+            for c in (e, twist(e, d0)):
+                assert count_four_torsion(c) == fe_count_four_torsion(c), c
 
     @pytest.mark.parametrize("field", [F5, F7, F9, F13, F25],
                              ids=lambda f: f"q{f.q}")

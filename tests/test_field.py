@@ -6,7 +6,12 @@ import pytest
 
 from legcurves import char2, stats
 from legcurves.cli import _field_axiom_failures
-from legcurves.curve import legendre, legendre_count_table
+from legcurves.curve import (
+    count_four_torsion,
+    legendre,
+    legendre_count_table,
+    verify_group_law,
+)
 from legcurves.field import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -147,6 +152,9 @@ CAPPED = [
     ("sweep", 8, lambda cap: char2.verify_char2_prop(3, cap)),
     ("sweep", 8, lambda cap: char2.verify_odd_intersection(3, cap)),
     ("counting", 8, lambda cap: char2.frobenius_image_check(F8(1), cap)),
+    ("point enumeration", 7,
+     lambda cap: count_four_torsion(legendre(F7, 3), cap)),
+    ("point enumeration", 7, lambda cap: verify_group_law(F7, cap=cap)),
 ]
 
 

@@ -206,5 +206,7 @@ class TestPrimeFieldCount:
         for p in range(3, 500, 2):
             if not _is_prime(p) or p % 4 != 3:
                 continue
-            f = make_field(p)
-            assert deuring(p)(f(-1)) == f.zero
+            acc = 0
+            for c in reversed(deuring(p).coeffs):  # Horner at x = -1
+                acc = (-acc + int(c)) % p
+            assert acc == 0, p
