@@ -6,11 +6,13 @@ is checked at construction.  The isomorphism test does an explicit
 coordinate-change search, which stays affordable at desk scale and has
 no special cases at j = 0 or 1728.
 
-The chord-tangent law is written once, on integer element codes:
-`_chord_tangent` (the twist coefficient scales the slope term only),
-with `_ladder` for scalar multiples.  `Curve.add` and `Curve.multiply`
-convert `Fe` points to codes and back around it, and `verify_group_law`
-checks the same law that every sweep runs.
+The chord-tangent law is written once: `_chord_tangent`, the law of a
+monic model on (x, y) pairs, with `_ladder` for scalar multiples.  The
+sweeps run it on integer element codes with the field's lookup tables;
+`Curve.add` and `Curve.multiply` run it on `Fe` elements of the monic
+model, (x, y) -> (d*x, d^2*y), so they build no table and work on every
+field the package builds.  `verify_group_law` checks the code law that
+every sweep runs.
 
 Point enumeration, point counting, group structure, the four-torsion
 count and the 2-descent sweep share the primitives of the integer-code
@@ -32,10 +34,11 @@ import itertools
 import random
 import sys
 from array import array
+from functools import lru_cache
 from math import comb, lcm
 import operator
 
-from .field import check_cap, prime_factors
+from .field import Fe, check_cap, prime_factors
 
 # Packed operands of `_chi_shift_sums` hold at most this many slots per
 # field element; larger layouts move top digits to an outer loop.
@@ -72,19 +75,6 @@ class Point:
 
 
 INFINITY = Point()
-
-
-def _point_codes(field, point):
-    """(x, y) codes of a point, None for infinity."""
-    if point.is_infinity:
-        return None
-    return field.code(point.x), field.code(point.y)
-
-
-def _code_point(field, codes):
-    if codes is None:
-        return INFINITY
-    return Point(field.from_code(codes[0]), field.from_code(codes[1]))
 
 
 def _short(e):
@@ -163,19 +153,30 @@ class Curve:
             raise ValueError("point is not on the curve")
         return self._add(p1, p2)
 
-    def _law(self):
-        """`_chord_tangent` on this curve's root and delta codes."""
-        f = self.field
-        roots = tuple(f.code(r) for r in self.roots)
-        return _chord_tangent(f, roots, f.code(self.delta))
+    def _to_monic(self, point):
+        """The (d*x, d^2*y) pair of a point on the monic model, None for
+        infinity."""
+        if point.is_infinity:
+            return None
+        d = self.delta
+        if d == self.field.one:
+            return point.x, point.y
+        return d * point.x, d * d * point.y
+
+    def _from_monic(self, pair):
+        if pair is None:
+            return INFINITY
+        if self.delta == self.field.one:
+            return Point(*pair)
+        e = self.delta.inv()
+        return Point(e * pair[0], e * e * pair[1])
 
     def _add(self, p1, p2):
-        f = self.field
-        c1, c2 = _point_codes(f, p1), _point_codes(f, p2)
-        if (c1 is not None and c2 is not None and c1[0] == c2[0]
-                and c1[1] != c2[1] and c1[1] != f._neg_codes()[c2[1]]):
+        if (not p1.is_infinity and not p2.is_infinity and p1.x == p2.x
+                and p1.y != p2.y and p1.y != -p2.y):
             raise RuntimeError("impossible point pair; inputs off-curve?")
-        return _code_point(f, self._law()(c1, c2))
+        return self._from_monic(
+            _fe_law(self)(self._to_monic(p1), self._to_monic(p2)))
 
     def multiply(self, point, k):
         if not self.contains(point):
@@ -185,8 +186,8 @@ class Curve:
     def _multiply(self, point, k):
         if k < 0:
             point, k = self.neg(point), -k
-        f = self.field
-        return _code_point(f, _ladder(self._law(), _point_codes(f, point), k))
+        pair = _ladder(_fe_law(self), self._to_monic(point), k)
+        return self._from_monic(pair)
 
     # -- enumeration ---------------------------------------------------
 
@@ -537,21 +538,38 @@ def _affine_codes(field, roots, dinv=1):
     return out
 
 
-def _chord_tangent(field, roots, dc=1):
-    """The group law of dc*y^2 = (x-ra)(x-rb)(x-rc) on (x, y) code pairs,
-    with None for infinity.  The twist code dc scales m^2 in x3 and the
-    tangent denominator 2*dc*y1; a pair with x1 == x2 that is not
-    P, -P is taken as P, P, so callers pass points of the curve."""
-    add = field._add_func()
-    sub = field._sub_func()
-    mul = field._mul_func()
-    inv = field._inv_codes()
-    neg = field._neg_codes()
+class _Apply:
+    """A unary function read by index, view[a] = fn(a): the stand-in for
+    the inverse and negation tables when the law runs on `Fe` elements."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
+# add, sub, mul, inverse and negation of `Fe` elements, table-free
+_FE_ARITH = (operator.add, operator.sub, operator.mul,
+             _Apply(Fe.inv), _Apply(operator.neg))
+
+
+def _chord_tangent(field, roots, arith=None):
+    """The group law of y^2 = (x-ra)(x-rb)(x-rc) on (x, y) pairs, with
+    None for infinity.  Coordinates are element codes with the field's
+    lookup tables, or the elements of `arith` = (add, sub, mul, inverse,
+    negation), the last two read by index.  A pair with x1 == x2 that is
+    not P, -P is taken as P, P, so callers pass points of the curve."""
+    if arith is None:
+        arith = (field._add_func(), field._sub_func(), field._mul_func(),
+                 field._inv_codes(), field._neg_codes())
+    add, sub, mul, inv, neg = arith
     ra, rb, rc = roots
-    two = field.code(field(2))
-    twod = mul(two, dc)
     s1 = add(add(ra, rb), rc)
     s2 = add(add(mul(ra, rb), mul(ra, rc)), mul(rb, rc))
+    twos1 = add(s1, s1)
 
     def eadd(p1, p2):
         if p1 is None:
@@ -564,16 +582,21 @@ def _chord_tangent(field, roots, dc=1):
             if y1 == neg[y2]:
                 return None
             x1s = mul(x1, x1)
-            fp = add(sub(add(add(x1s, x1s), x1s), mul(two, mul(s1, x1))), s2)
-            m = mul(fp, inv[mul(twod, y1)])
+            fp = add(sub(add(add(x1s, x1s), x1s), mul(twos1, x1)), s2)
+            m = mul(fp, inv[add(y1, y1)])
         else:
             m = mul(sub(y2, y1), inv[sub(x2, x1)])
-        mm = mul(m, m)
-        if dc != 1:
-            mm = mul(dc, mm)
-        x3 = sub(sub(add(mm, s1), x1), x2)
+        x3 = sub(sub(add(mul(m, m), s1), x1), x2)
         return x3, neg[add(y1, mul(m, sub(x3, x1)))]
     return eadd
+
+
+@lru_cache(maxsize=256)
+def _fe_law(curve):
+    """`_chord_tangent` of a curve's monic model on `Fe` elements, kept
+    for the curves used last, so repeated `Curve.add` calls build it
+    once."""
+    return _chord_tangent(curve.field, curve.monic_roots(), _FE_ARITH)
 
 
 def _ladder(eadd, point, k):
@@ -659,8 +682,10 @@ def _unrank_triple(q, r):
 
 def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
     """Associativity, commutativity, inverses, identity and closure of
-    `_chord_tangent`, the law every sweep and `Curve.add` run, on code
-    points of twisted curves delta*y^2 = (x-ra)(x-rb)(x-rc).
+    `_chord_tangent` on code points, the law every sweep runs.  Each
+    drawn curve delta*y^2 = (x-ra)(x-rb)(x-rc) is checked through its
+    monic model (x, y) -> (d*x, d^2*y), as `Curve.add` runs it; failure
+    messages name points by their monic codes.
 
     Exhaustive over curves and point triples while the totals stay below
     the `curves` / `triples` budgets, seeded random samples beyond that.
@@ -686,9 +711,12 @@ def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
     for roots, dc in chosen:
         # validates the roots and delta
         Curve(field, *map(field.from_code, roots), field.from_code(dc))
-        eadd = _chord_tangent(field, roots, dc)
-        cubic = _cubic_codes(field, roots)
-        pts = [None] + _affine_codes(field, roots, inv[dc])
+        monic = tuple(mul(dc, r) for r in roots)
+        eadd = _chord_tangent(field, monic)
+        cubic = _cubic_codes(field, monic)
+        # the drawn curve's points in `Curve.points` order, carried over
+        pts = [None] + [(mul(dc, x), mul(dc, mul(dc, y)))
+                        for x, y in _affine_codes(field, roots, inv[dc])]
         tag = f"q={q} roots=({roots[0]},{roots[1]},{roots[2]}) delta={dc}"
         for pt in pts:
             if eadd(pt, None) != pt:
@@ -705,7 +733,7 @@ def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
         for a, b, c in trips:
             # both partial sums must be points before they are added again
             ab, bc = eadd(a, b), eadd(b, c)
-            if any(s is not None and mul(dc, mul(s[1], s[1])) != cubic[s[0]]
+            if any(s is not None and mul(s[1], s[1]) != cubic[s[0]]
                    for s in (ab, bc)):
                 failures.append(f"{tag}: sum of two points left the curve")
                 continue
