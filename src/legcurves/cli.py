@@ -157,7 +157,7 @@ def _supersingular_rows(task):
     try:
         check_cap(p * p, cap, "root table", f"GF({p}^2)")
     except EnumerationCapError:
-        return [row]   # the roots are listed only where the scan fits
+        return [row]   # the roots are listed only where GF(p^2) fits the cap
     t = supersingular.supersingular_lambdas(p)
     row["prime_field_roots"] = list(t.prime_field_roots)
     row["roots"] = [list(r.coeffs) for r in t.roots]

@@ -72,9 +72,9 @@ def prime_factors(n):
 
 # ---------------------------------------------------------------------------
 # Bare coefficient-list arithmetic over Z/p, the one polynomial kernel:
-# it picks and checks the modulus, and `poly.pow_x_mod` and
-# `poly.distinct_root_count` run on it.  Lists are constant-term first
-# with no trailing zeros.
+# it picks and checks the modulus, and `poly.pow_x_mod`,
+# `poly.distinct_root_count` and `poly.quadratic_factors` run on it.
+# Lists are constant-term first with no trailing zeros.
 
 def _ptrim(a):
     while a and a[-1] == 0:
@@ -119,20 +119,26 @@ def _ppowmod(a, e, f, p):
     return result
 
 
+def _pdivmod(a, b, p):
+    """(quotient, remainder) of a by nonzero b, long division with b
+    made monic on the fly."""
+    linv = pow(b[-1], p - 2, p)
+    db = len(b) - 1
+    r = list(a)
+    quot = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * linv % p
+        if c:
+            quot[i - db] = c
+            for j in range(db + 1):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+    return _ptrim(quot), _ptrim(r)
+
+
 def _pgcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        # a mod b, with b made monic on the fly
-        linv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        r = list(a)
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] * linv % p
-            if c:
-                for j in range(db + 1):
-                    r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-        _ptrim(r)
-        a, b = b, r
+        a, b = b, _pdivmod(a, b, p)[1]
     if a:
         linv = pow(a[-1], p - 2, p)
         a = [c * linv % p for c in a]

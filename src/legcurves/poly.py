@@ -3,9 +3,10 @@
 Coefficients are stored constant term first with no trailing zeros, so
 the zero polynomial is the empty tuple and the leading coefficient of
 anything else is nonzero.  The arithmetic runs on the bare Z/p
-coefficient lists of `field` (`_ppowmod`, `_psub`, `_pgcd`): powers of x
-modulo f by repeated squaring, and the number of distinct roots in
-F_{p^k} as deg gcd(f, x^(p^k) - x).
+coefficient lists of `field` (`_ppowmod`, `_psub`, `_pgcd`, `_pdivmod`):
+powers of x modulo f by repeated squaring, the number of distinct roots
+in F_{p^k} as deg gcd(f, x^(p^k) - x), and the split of a product of
+distinct irreducible quadratics into its factors.
 
 Includes the one special polynomial the package is built around: the
 characteristic-p polynomial whose roots are exactly the supersingular
@@ -14,7 +15,7 @@ Legendre parameters (degree (p-1)/2, squared-binomial coefficients).
 
 from __future__ import annotations
 
-from .field import _pgcd, _ppowmod, _psub, make_field
+from .field import _pdivmod, _pgcd, _ppowmod, _psub, _ptrim, make_field
 
 
 class Poly:
@@ -100,6 +101,57 @@ def distinct_root_count(f, order):
         return 0
     p, m, x = _monic_mod(f)
     return len(_pgcd(m, _psub(_ppowmod(x, order, m, p), x, p), p)) - 1
+
+
+# a try on a product of distinct irreducible quadratics fails to split
+# with probability about 1/2 (below 0.51 for every odd p), so 64
+# failures in a row (chance below 2^-62) mean it is no such product
+_SPLIT_TRIES = 64
+
+
+def _exact_div(a, b, p):
+    """a / b over Z/p for a multiple a of b."""
+    quot, rem = _pdivmod(a, b, p)
+    if rem:
+        raise RuntimeError(f"inexact division over F_{p}: remainder {rem}")
+    return quot
+
+
+def quadratic_factors(f, roots, rng):
+    """The monic quadratic factors [c, b, 1] of f over a prime field,
+    once x - r is divided out for each r in `roots`.
+
+    What is left must be a product of distinct irreducible quadratics.
+    It is split by equal-degree factorization (Cantor-Zassenhaus): for
+    a random a of degree below that of g, gcd(g, a^((p^2-1)/2) - 1)
+    collects the factors in which a is a nonzero square of F_{p^2}.
+    RuntimeError when a root does not divide, a factor of odd degree is
+    left, or a factor does not split in `_SPLIT_TRIES` tries."""
+    p, m, _ = _monic_mod(f)
+    for r in roots:
+        m = _exact_div(m, [-r % p, 1], p)
+    e = (p * p - 1) // 2
+    out = []
+    todo = [m] if len(m) > 1 else []
+    while todo:
+        g = todo.pop()
+        d = len(g) - 1
+        if d % 2:
+            raise RuntimeError(f"a factor of odd degree {d} is left over "
+                               f"F_{p}")
+        if d == 2:
+            out.append(g)
+            continue
+        for _ in range(_SPLIT_TRIES):
+            a = _ptrim([rng.randrange(p) for _ in range(d)])
+            h = _pgcd(g, _psub(_ppowmod(a, e, g, p), [1], p), p)
+            if 1 < len(h) < len(g):
+                break
+        else:
+            raise RuntimeError(f"a degree-{d} factor over F_{p} did not "
+                               f"split in {_SPLIT_TRIES} tries")
+        todo += [h, _exact_div(g, h, p)]
+    return out
 
 
 def deuring(p):

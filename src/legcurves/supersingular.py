@@ -3,26 +3,32 @@
 For an odd prime p the supersingular lambdas are the (p-1)/2 roots of a
 fixed polynomial with F_p coefficients (alternating-sign central
 binomial coefficients), and they all live in F_{p^2}.  This module
-finds them by direct scans, checks the point-group structure they
-produce over F_{p^2}, and compares the number of roots lying in F_p
-itself against a class-number formula whose class numbers come from an
-independent reduced-forms enumeration.  Over F_p the same polynomial is
-the Hasse invariant, which gives each Legendre trace mod p.
+finds them by factoring that polynomial over F_p, checks the
+point-group structure they produce over F_{p^2}, and compares the
+number of roots lying in F_p itself against a class-number formula
+whose class numbers come from an independent reduced-forms
+enumeration.  Over F_p the same polynomial is the Hasse invariant,
+which gives each Legendre trace mod p.
 
-The F_{p^2} root scan works on integer coordinate pairs (a, b) for
-a + b*t with t a fixed generator, stepping Horner through the modulus
-by hand; conjugate roots are filled in for free, which halves the scan.
+Since every root lies in F_{p^2}, the polynomial splits over F_p into
+linear and irreducible quadratic factors.  The linear ones come from a
+Horner scan over F_p; the quadratics come from equal-degree
+factorization on the Z/p list kernel (`poly.quadratic_factors`), and
+each gives a conjugate pair a +- b*t by the quadratic formula, on
+integer coordinate pairs (a, b) for a + b*t with t a fixed generator.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
 from .curve import legendre, legendre_count_table
 from .field import _is_prime, check_cap, is_nth_power, make_field
-from .poly import Poly, deuring, distinct_root_count, pow_x_mod, substitute_neg
+from .poly import (Poly, deuring, distinct_root_count, pow_x_mod,
+                   quadratic_factors, substitute_neg)
 
 
 @dataclass
@@ -64,9 +70,29 @@ def supersingular_prime_field_count(p):
     return len(_prime_field_roots(p, rev))
 
 
+def _quadratic_root_codes(quad, sqrt, m0, p):
+    """Codes of the two roots in F_{p^2} of [c, b, 1], an irreducible
+    quadratic over F_p: (-b +- s*t)/2 with t^2 = -m0 and
+    s^2 = (b^2 - 4c) / (-m0), both sides non-residues."""
+    c, b, _ = quad
+    s = sqrt[(b * b - 4 * c) * pow(-m0, p - 2, p) % p]
+    if not s:
+        raise RuntimeError(f"p={p}: factor {quad} is not an irreducible "
+                           f"quadratic")
+    half = (p + 1) // 2
+    a = -b * half % p
+    h = s * half % p
+    return a + h * p, a + (p - h) * p
+
+
 @lru_cache(maxsize=None)
 def supersingular_lambdas(p):
-    """SsTable for p: all roots over F_{p^2} with conjugate pairing."""
+    """SsTable for p: all roots over F_{p^2}, by factoring deuring(p).
+
+    Three checks run on every call and together certify that the table
+    is exactly the root set: each root evaluates to 0 by integer Horner
+    in F_{p^2}, the roots are pairwise distinct, and their number is
+    deg gcd(deuring(p), x^(p^2) - x)."""
     if p == 2 or not _is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     check_cap(p * p, None, "root scan", f"GF({p}^2)")
@@ -78,20 +104,23 @@ def supersingular_lambdas(p):
     rev = [int(c) for c in poly.coeffs][::-1]
     fp_roots = _prime_field_roots(p, rev)
     codes = list(fp_roots)
-    # b and p - b index conjugate elements: a + b*t and a - b*t
-    for b in range(1, (p - 1) // 2 + 1):
-        for a in range(p):
-            ac = 0
-            bc = 0
-            for c in rev:
-                z = bc * b
-                ac, bc = (ac * a - z * m0 + c) % p, (ac * b + bc * a) % p
-            if ac == 0 and bc == 0:
-                codes.append(a + b * p)
-                codes.append(a + (p - b) * p)
+    sqrt = make_field(p)._sqrt_codes()
+    for quad in quadratic_factors(poly, fp_roots, random.Random(p)):
+        codes.extend(_quadratic_root_codes(quad, sqrt, m0, p))
+    for code in codes:
+        a, b = code % p, code // p
+        ac = bc = 0
+        for c in rev:
+            z = bc * b
+            ac, bc = (ac * a - z * m0 + c) % p, (ac * b + bc * a) % p
+        if ac or bc:
+            raise RuntimeError(f"p={p}: {a} + {b}*t is not a root of "
+                               f"deuring({p})")
+    if len(set(codes)) != len(codes):
+        raise RuntimeError(f"p={p}: a root was found twice")
     if len(codes) != distinct_root_count(poly, p * p):
         raise RuntimeError(
-            f"root scan for p={p} disagrees with the gcd-based count")
+            f"roots found for p={p} disagree with the gcd-based count")
     return SsTable(
         p=p,
         signed_prime=p if p % 4 == 1 else -p,

@@ -191,6 +191,10 @@ GOLDEN_DIGESTS = [
      "0a70a076540bb8e694c0824c523088c552f25a8efddc72b9c08e6d59a2fe038d"),
     ("count --q 729", "csv",
      "59fdd22fb2bedb7e7333182e4c1d86079e1300d87cfdcad34fc8cebcd8df99ca"),
+    ("supersingular --p-max 199", "json",
+     "310a8bcebaa8680e38640581bfe8114f69136d0ab1e20eca877a93b08052ce97"),
+    ("supersingular --p-max 199", "csv",
+     "611fdc54b32e822503d1643ce73a2eef74f6e1639f22293b0ebbe6429645b3db"),
 ]
 
 

@@ -4,12 +4,21 @@ import random
 
 import pytest
 
-from legcurves.field import _pgcd, _pmulmod, _ptrim, make_field
+from legcurves.field import (
+    _is_irreducible,
+    _pdivmod,
+    _pgcd,
+    _pmulmod,
+    _psub,
+    _ptrim,
+    make_field,
+)
 from legcurves.poly import (
     Poly,
     deuring,
     distinct_root_count,
     pow_x_mod,
+    quadratic_factors,
     substitute_neg,
 )
 
@@ -137,6 +146,30 @@ def test_divmod_and_divides():
         assert _ptrim([c % 5 for c in back]) == _ptrim([c % 5 for c in prod])
 
 
+def plain_product(factors, p):
+    """Product of Z/p lists by `_pmulmod` modulo x^64, which no product
+    here reaches, so nothing is reduced."""
+    out = [1]
+    for f in factors:
+        out = _pmulmod(out, f, [0] * 64 + [1], p)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 199])
+def test_pdivmod_reassembles(p):
+    # a = quot * b + rem with deg rem < deg b, for b of any leading
+    # coefficient
+    rng = random.Random(p)
+    for _ in range(300):
+        a, b = random_list(rng, p, 15), random_list(rng, p, 8)
+        if not b:
+            continue
+        quot, rem = _pdivmod(a, b, p)
+        assert len(rem) < len(b)
+        assert _psub(a, plain_product([quot, b], p), p) == rem
+        assert (quot, rem) == long_division(a, b, p)
+
+
 def test_gcd_basic():
     a = [4, 0, 1]                           # x^2 - 1 over F_5
     assert _pgcd(a, [1, 1], 5) == [1, 1]
@@ -240,3 +273,40 @@ def test_all_roots_live_in_the_quadratic_extension(p):
     # is squarefree and splits there
     d = deuring(p)
     assert distinct_root_count(d, p * p) == d.degree
+
+
+def monic_irreducibles(p, degree):
+    for k in range(p ** degree):
+        f = [k // p ** i % p for i in range(degree)] + [1]
+        if _is_irreducible(f, p):
+            yield f
+
+
+@pytest.mark.parametrize("p, count", [(3, 3), (7, 6), (13, 9)])
+def test_quadratic_factors_splits_a_product(p, count):
+    quads = list(monic_irreducibles(p, 2))[:count]
+    linear = [[p - 1, 1], [p - 2, 1]]       # x - 1 and x - 2
+    f = Poly(make_field(p), plain_product(quads + linear, p))
+    for seed in range(5):
+        found = quadratic_factors(f, [2, 1], random.Random(seed))
+        assert sorted(found) == sorted(quads)
+    # only linear factors: (x + 1)(x + 2) leaves nothing to split
+    linear = Poly(make_field(p), [2, 3, 1])
+    assert quadratic_factors(linear, [p - 1, p - 2], random.Random(0)) == []
+
+
+def test_quadratic_factors_rejects_what_is_not_a_quadratic_product():
+    f7 = make_field(7)
+    q1, q2 = list(monic_irreducibles(7, 2))[:2]
+    rng = random.Random(0)
+    # 3 is not a root
+    with pytest.raises(RuntimeError, match="inexact division"):
+        quadratic_factors(Poly(f7, plain_product([q1, [6, 1]], 7)), [3], rng)
+    # the root 1 is not divided out, so degree 5 is left
+    with pytest.raises(RuntimeError, match="odd degree 5"):
+        quadratic_factors(Poly(f7, plain_product([q1, q2, [6, 1]], 7)), [],
+                          rng)
+    # an irreducible quartic never splits into quadratics
+    quartic = next(monic_irreducibles(7, 4))
+    with pytest.raises(RuntimeError, match="degree-4 factor"):
+        quadratic_factors(Poly(f7, quartic), [], rng)

@@ -39,6 +39,30 @@ def roots_in(f, field):
     return out
 
 
+def scan_lambdas(p):
+    """Every root of deuring(p) in F_{p^2}, lex-sorted, by a Horner scan
+    over every a + b*t on integer coordinate pairs: the reference for
+    the factoring root finder."""
+    poly = deuring(p)
+    f2 = make_field(p, 2)
+    m0 = f2.modulus[0]
+    rev = [int(c) for c in poly.coeffs][::-1]
+    fp_roots = supersingular._prime_field_roots(p, rev)
+    codes = list(fp_roots)
+    # b and p - b index conjugate elements: a + b*t and a - b*t
+    for b in range(1, (p - 1) // 2 + 1):
+        for a in range(p):
+            ac = 0
+            bc = 0
+            for c in rev:
+                z = bc * b
+                ac, bc = (ac * a - z * m0 + c) % p, (ac * b + bc * a) % p
+            if ac == 0 and bc == 0:
+                codes.append(a + b * p)
+                codes.append(a + (p - b) * p)
+    return sorted(f2.from_code(c) for c in codes)
+
+
 class TestRootTables:
     def test_p3_frozen(self):
         t = supersingular_lambdas(3)
@@ -97,6 +121,56 @@ class TestRootTables:
                 supersingular_lambdas(p)
         finally:
             supersingular_lambdas.cache_clear()
+
+    @pytest.mark.parametrize(
+        "p", [p for p in range(3, 128, 2) if _is_prime(p)] + [191, 199])
+    def test_matches_the_scan(self, p):
+        assert supersingular_lambdas(p).roots == scan_lambdas(p)
+
+    @pytest.mark.parametrize("p", [13, 31, 199])
+    def test_a_dropped_factor_is_caught(self, p, monkeypatch):
+        real = supersingular.quadratic_factors
+        monkeypatch.setattr(supersingular, "quadratic_factors",
+                            lambda f, roots, rng: real(f, roots, rng)[1:])
+        supersingular_lambdas.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=f"p={p} disagree"):
+                supersingular_lambdas(p)
+        finally:
+            supersingular_lambdas.cache_clear()
+
+    @pytest.mark.parametrize("p", [13, 31, 199])
+    def test_a_wrong_root_fails_evaluation(self, p, monkeypatch):
+        # the first conjugate pair comes back with its first t-coordinate
+        # off by one: same count, still distinct, but not a root
+        real = supersingular._quadratic_root_codes
+        calls = []
+
+        def shifted(quad, sqrt, m0, p):
+            first, second = real(quad, sqrt, m0, p)
+            calls.append(quad)
+            if len(calls) == 1:
+                first = first % p + (first // p + 1) % p * p
+            return first, second
+        monkeypatch.setattr(supersingular, "_quadratic_root_codes", shifted)
+        supersingular_lambdas.cache_clear()
+        try:
+            with pytest.raises(RuntimeError,
+                               match=rf"p={p}: .* is not a root"):
+                supersingular_lambdas(p)
+        finally:
+            supersingular_lambdas.cache_clear()
+
+    @pytest.mark.parametrize("p", [401, 419])
+    def test_past_the_scan(self, p):
+        t = supersingular_lambdas(p)
+        pairs = [r.coeffs for r in t.roots]
+        assert len(pairs) == (p - 1) // 2
+        assert len(set(pairs)) == len(pairs)
+        assert t.roots == sorted(t.roots)
+        in_fp = [a for a, b in pairs if b == 0]
+        assert in_fp == t.prime_field_roots
+        assert len(in_fp) == supersingular_prime_field_count(p)
 
     def test_rejects_non_primes(self):
         for bad in (2, 9, 15, 1):
