@@ -30,6 +30,7 @@ from .curve import (
 from .field import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
+    MAX_ORDER,
     check_cap,
     field_of_order,
     make_field,
@@ -93,10 +94,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # row builders (module level so process pools can pick them up)
 
-def _modulus_ints(field):
-    return [int(c) for c in field.modulus]
-
-
 def _count_rows(task):
     q, lam_codes, cap = task
     f = field_of_order(q)
@@ -106,7 +103,7 @@ def _count_rows(task):
     for lc in codes:
         if lc not in table:
             raise ValueError(f"lambda code {lc} is not admissible over F_{q}")
-        rows.append({"p": f.p, "n": f.n, "modulus": _modulus_ints(f),
+        rows.append({"p": f.p, "n": f.n, "modulus": list(f.modulus),
                      "lambda": lc, "count": table[lc]})
     return rows
 
@@ -585,7 +582,16 @@ def _resolve_values(args, parser):
     if cmd == "char2":
         if (args.n is None) == (args.n_max is None):
             parser.error("give exactly one of --n / --n-max")
-        return [args.n] if args.n is not None else list(range(1, args.n_max + 1))
+        lo, hi = (args.n, args.n) if args.n is not None else (1, args.n_max)
+        top = MAX_ORDER.bit_length() - 1        # 2^n <= MAX_ORDER
+        if lo <= hi:    # an empty range fails in RunConfig.validate
+            if lo < 1 or hi > top:
+                parser.error(f"extension degree {lo if lo < 1 else hi} "
+                             f"is outside [1, {top}]")
+            if not 0 <= args.beta < 2 ** lo:
+                parser.error(f"beta code {args.beta} is outside "
+                             f"[0, {2 ** lo}) for n = {lo}")
+        return list(range(lo, hi + 1))
     if (args.q is None) == (args.q_max is None):
         parser.error("give exactly one of --q / --q-max")
     if args.q is not None:

@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import comb, lcm
 import operator
 
-from .field import Fe, check_cap, prime_factors
+from .field import Fe, _first_nonresidue, check_cap, prime_factors
 
 # Packed operands of `_chi_shift_sums` hold at most this many slots per
 # field element; larger layouts move top digits to an outer loop.
@@ -232,11 +232,7 @@ class Curve:
     def j_invariant(self):
         """Via the cross-ratio c = (gamma-alpha)/(beta-alpha):
         j = 256 (c^2-c+1)^3 / (c^2 (c-1)^2).  Twist-invariant."""
-        f = self.field
-        c = (self.gamma - self.alpha) / (self.beta - self.alpha)
-        num = c * c - c + f.one
-        den = c * c * (c - f.one) * (c - f.one)
-        return f(256) * num * num * num / den
+        return j_of_lambda((self.gamma - self.alpha) / (self.beta - self.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -773,11 +769,7 @@ def verify_shift_sums(field):
 
 
 def _first_nonsquare_code(field):
-    chi = field._chi_codes()
-    for c in field._lex_codes():
-        if c and chi[c] == -1:
-            return c
-    raise RuntimeError("no non-square found; is the field trivial?")
+    return field.code(_first_nonresidue(field))
 
 
 def verify_twist_counts(field, cap=None, sample=5):

@@ -7,6 +7,11 @@ irreducible polynomial in the constant-term-first scan), so the same
 representation.  Intended for exhaustive sweeps over small fields, not
 for cryptography: q is capped at 2**63 and enumeration at 2**20.
 
+All polynomial arithmetic over Z/p lives in one kernel on bare
+coefficient lists (`_pmulmod`, `_pdivmod`, `_ppowmod`, `_pgcd`,
+`_pinvmod`).  `Fe` multiplies, inverts and powers extension-field
+elements there, and `poly` runs the supersingularity polynomial on it.
+
 Fast lookup tables (discrete log, Zech logarithm, quadratic character,
 square roots), each of O(q) entries, are built lazily per field and
 shared by the sweep code in the sibling modules.  They are an
@@ -71,10 +76,21 @@ def prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# Bare coefficient-list arithmetic over Z/p, the one polynomial kernel:
-# it picks and checks the modulus, and `poly.pow_x_mod`,
-# `poly.distinct_root_count` and `poly.quadratic_factors` run on it.
-# Lists are constant-term first with no trailing zeros.
+# Bare coefficient-list arithmetic over Z/p, the one polynomial kernel.
+# It picks and checks the modulus, multiplies, inverts and powers `Fe`
+# elements of extension fields, builds the matrix that steps the exp
+# table, and `poly` runs deuring(p) and its factors on it.  Lists are constant-term first and results
+# carry no trailing zeros; `_pmulmod`, `_ppowmod` and `_pinvmod` also
+# take the zero-padded coefficient tuples of `Fe`.
+
+def _digits(code, p, n):
+    """The n base-p digits of code, least significant first."""
+    out = []
+    for _ in range(n):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out
+
 
 def _ptrim(a):
     while a and a[-1] == 0:
@@ -145,6 +161,21 @@ def _pgcd(a, b, p):
     return a
 
 
+def _pinvmod(a, f, p):
+    """a^-1 modulo f, by the extended Euclidean algorithm: s * a = r
+    (mod f) holds for each remainder r, down to a nonzero constant.
+    ZeroDivisionError when a and f have a common factor."""
+    r0, r1 = list(f), _ptrim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quot, rem = _pdivmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, rem, s1, _psub(s0, _pmulmod(quot, s1, f, p), p)
+    if not r1:
+        raise ZeroDivisionError("not invertible modulo f")
+    c = pow(r1[0], p - 2, p)
+    return [x * c % p for x in s1]
+
+
 def _is_irreducible(f, p):
     """Monic f of degree >= 2 over Z/p."""
     n = len(f) - 1
@@ -162,12 +193,7 @@ def _find_modulus(p, n):
     # Scan monic candidates with the constant term varying fastest:
     # x^n, x^n + 1, x^n + 2, ..., x^n + x, ...
     for k in range(p ** n):
-        digits = []
-        kk = k
-        for _ in range(n):
-            digits.append(kk % p)
-            kk //= p
-        f = digits + [1]
+        f = _digits(k, p, n) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -279,11 +305,7 @@ class Field:
     def from_code(self, code):
         if not 0 <= code < self.q:
             raise ValueError(f"code {code} out of range for {self!r}")
-        coeffs = []
-        for _ in range(self.n):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return Fe(self, tuple(coeffs))
+        return Fe(self, tuple(_digits(code, self.p, self.n)))
 
     # -- lazy lookup tables (package internal) -------------------------
 
@@ -327,7 +349,7 @@ class Field:
             fac = prime_factors(m) if m > 1 else []
             powers = [p ** i for i in range(n)]
             for code in self._lex_codes():
-                g = _ptrim([code // pw % p for pw in powers])
+                g = _ptrim(_digits(code, p, n))
                 if g and all(_ppowmod(g, m // f, mod, p) != [1] for f in fac):
                     break
             rows = [_pmulmod([0] * i + [1], g, mod, p) for i in range(n)]
@@ -555,24 +577,9 @@ class Fe:
         if other is None:
             return NotImplemented
         f = self.field
-        p = f.p
         if f.n == 1:
-            return Fe(f, (self.coeffs[0] * other.coeffs[0] % p,))
-        a, b = self.coeffs, other.coeffs
-        n = f.n
-        out = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        mod = f.modulus
-        for i in range(2 * n - 2, n - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(n):
-                    out[i - n + j] = (out[i - n + j] - c * mod[j]) % p
-        return Fe(f, tuple(out[:n]))
+            return Fe(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
+        return _element(f, _pmulmod(self.coeffs, other.coeffs, f.modulus, f.p))
 
     __rmul__ = __mul__
 
@@ -582,33 +589,7 @@ class Fe:
             raise ZeroDivisionError("inverse of zero")
         if f.n == 1:
             return Fe(f, (pow(self.coeffs[0], f.p - 2, f.p),))
-        # extended Euclid against the modulus
-        p = f.p
-        r0, r1 = list(f.modulus), _ptrim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            linv = pow(r1[-1], p - 2, p)
-            d = len(r1) - 1
-            q = [0] * (len(r0) - d)
-            r = list(r0)
-            for i in range(len(r) - 1, d - 1, -1):
-                c = r[i] * linv % p
-                if c:
-                    q[i - d] = c
-                    for j in range(d + 1):
-                        r[i - d + j] = (r[i - d + j] - c * r1[j]) % p
-            _ptrim(r)
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + qi * sj) % p
-            s = _psub(s0, qs1, p)
-            r0, r1, s0, s1 = r1, r, s1, s
-        c = pow(r1[0], p - 2, p)
-        out = [x * c % p for x in s1]
-        out += [0] * (f.n - len(out))
-        return Fe(f, tuple(out[:f.n]))
+        return _element(f, _pinvmod(self.coeffs, f.modulus, f.p))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -625,17 +606,11 @@ class Fe:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        base = self
-        if e < 0:
-            base = self.inv()
-            e = -e
-        result = self.field.one
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        base = self.inv() if e < 0 else self
+        f = self.field
+        if f.n == 1:
+            return Fe(f, (pow(base.coeffs[0], abs(e), f.p),))
+        return _element(f, _ppowmod(base.coeffs, abs(e), f.modulus, f.p))
 
     def __eq__(self, other):
         if isinstance(other, Fe):
@@ -687,6 +662,12 @@ class Fe:
                 terms.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
         body = " + ".join(terms) if terms else "0"
         return f"{body} ({self.field!r})"
+
+
+def _element(field, coeffs):
+    """The element of `field` with the kernel list `coeffs`, padded with
+    zeros to the field degree."""
+    return Fe(field, tuple(coeffs) + (0,) * (field.n - len(coeffs)))
 
 
 @lru_cache(maxsize=None)
@@ -760,11 +741,24 @@ def is_nth_power(a, m):
 
 
 def _first_nonresidue(field):
+    """The lexicographically first non-square of an odd-characteristic
+    field, by the Euler criterion on a lazy scan of the nonzero elements
+    in lex order, so no enumeration cap applies.  For even n every
+    element of F_p is a square, so c * a has the character of a: only
+    elements whose first nonzero coefficient is 1 are tested, and a
+    non-square turns up within a few tries for every n."""
     if field._nonresidue is None:
-        for a in field.elements():
-            if a and quadratic_character(a) == -1:
-                field._nonresidue = a
-                break
+        p, n = field.p, field.n
+        # lex order is ascending r = sum c_i p^(n-1-i); r in
+        # [c p^k, (c+1) p^k) has c as its first nonzero coefficient,
+        # with k coefficients after it
+        top = 2 if n % 2 == 0 else p
+        for k in range(n):
+            for r in range(p ** k, top * p ** k):
+                a = Fe(field, tuple(reversed(_digits(r, p, n))))
+                if quadratic_character(a) == -1:
+                    field._nonresidue = a
+                    return a
     return field._nonresidue
 
 

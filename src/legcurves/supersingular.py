@@ -27,7 +27,7 @@ from math import isqrt
 
 from .curve import legendre, legendre_count_table
 from .field import _is_prime, check_cap, is_nth_power, make_field
-from .poly import (Poly, deuring, distinct_root_count, pow_x_mod,
+from .poly import (deuring, distinct_root_count, pow_x_mod,
                    quadratic_factors, substitute_neg)
 
 
@@ -37,27 +37,35 @@ class SsTable:
 
     signed_prime is p with the sign making it 1 mod 4; roots are the
     supersingular lambdas in F_{p^2}, lex-sorted; prime_field_roots are
-    the ones already in F_p, as plain integers; class_number is filled
+    the ones already in F_p, as plain integers; polynomial is deuring(p),
+    an int tuple with the constant term first; class_number is filled
     for p = 3 mod 4 and None otherwise.
     """
 
     p: int
     signed_prime: int
-    polynomial: Poly
+    polynomial: tuple
     roots: list
     prime_field_roots: list
     class_number: int | None
 
 
-def _prime_field_roots(p, coeffs_high_first):
-    roots = []
+def _hasse_values(coeffs, p):
+    """f(a) mod p for every a in F_p, by integer Horner: with f =
+    deuring(p), the one pass behind both its prime-field roots and the
+    Hasse traces."""
+    rev = coeffs[::-1]
+    out = []
     for a in range(p):
         acc = 0
-        for c in coeffs_high_first:
+        for c in rev:
             acc = (acc * a + c) % p
-        if acc == 0:
-            roots.append(a)
-    return roots
+        out.append(acc)
+    return out
+
+
+def _prime_field_roots(coeffs, p):
+    return [a for a, v in enumerate(_hasse_values(coeffs, p)) if v == 0]
 
 
 def supersingular_prime_field_count(p):
@@ -66,8 +74,7 @@ def supersingular_prime_field_count(p):
     where building F_{p^2} tables would pay)."""
     if p == 2 or not _is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    rev = [int(c) for c in deuring(p).coeffs][::-1]
-    return len(_prime_field_roots(p, rev))
+    return len(_prime_field_roots(deuring(p), p))
 
 
 def _quadratic_root_codes(quad, sqrt, m0, p):
@@ -101,11 +108,11 @@ def supersingular_lambdas(p):
     # the modulus is t^2 + m0: `_find_modulus` reaches x^2 - n, with n
     # a non-residue, before any candidate with a linear term
     m0 = f2.modulus[0]
-    rev = [int(c) for c in poly.coeffs][::-1]
-    fp_roots = _prime_field_roots(p, rev)
+    rev = poly[::-1]
+    fp_roots = _prime_field_roots(poly, p)
     codes = list(fp_roots)
     sqrt = make_field(p)._sqrt_codes()
-    for quad in quadratic_factors(poly, fp_roots, random.Random(p)):
+    for quad in quadratic_factors(poly, p, fp_roots, random.Random(p)):
         codes.extend(_quadratic_root_codes(quad, sqrt, m0, p))
     for code in codes:
         a, b = code % p, code // p
@@ -118,7 +125,7 @@ def supersingular_lambdas(p):
                                f"deuring({p})")
     if len(set(codes)) != len(codes):
         raise RuntimeError(f"p={p}: a root was found twice")
-    if len(codes) != distinct_root_count(poly, p * p):
+    if len(codes) != distinct_root_count(poly, p, p * p):
         raise RuntimeError(
             f"roots found for p={p} disagree with the gcd-based count")
     return SsTable(
@@ -166,11 +173,8 @@ def verify_eighth_power(p):
     into x^((p^2-1)/8) - 1.  The two computations must agree."""
     table = supersingular_lambdas(p)
     elementwise = all(is_nth_power(-lam, 8) for lam in table.roots)
-    g = substitute_neg(table.polynomial)
-    e = (p * p - 1) // 8
-    f = table.polynomial.field
-    one = Poly(f, [f.one])
-    divisibility = pow_x_mod(g, e) == one
+    g = substitute_neg(table.polynomial, p)
+    divisibility = pow_x_mod(g, p, (p * p - 1) // 8) == [1]
     if elementwise != divisibility:
         raise RuntimeError(
             f"p={p}: the element-wise and polynomial 8th-power checks "
@@ -188,12 +192,10 @@ def verify_hasse_trace(p):
     if p < 17 or not _is_prime(p):
         raise ValueError(f"the Hasse-trace identity needs a prime p >= 17, "
                          f"got {p}")
-    rev = [int(c) for c in deuring(p).coeffs][::-1]
+    values = _hasse_values(deuring(p), p)
     failures = []
     for lam, n in legendre_count_table(make_field(p)).items():
-        acc = 0
-        for c in rev:
-            acc = (acc * lam + c) % p
+        acc = values[lam]
         hasse = acc - p if acc > p // 2 else acc
         if hasse != p + 1 - n:
             failures.append(f"p={p} lambda={lam}: Hasse invariant {hasse} "

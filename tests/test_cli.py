@@ -138,6 +138,12 @@ class TestUsageErrors:
         ["classify", "--q", "9", "--jobs", "0"],
         ["nonsense"],
         ["count", "--q", "9", "--max-q", "2097152"],
+        ["char2", "--n", "0"],
+        ["char2", "--n", "-1"],
+        ["char2", "--n", "70"],
+        ["char2", "--n", "3", "--beta", "99"],
+        ["char2", "--n", "3", "--beta", "-1"],
+        ["char2", "--n-max", "4", "--beta", "3"],
     ])
     def test_exit_two(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import pytest
 from legcurves import char2, stats
 from legcurves.cli import _field_axiom_failures
 from legcurves.curve import (
+    _first_nonsquare_code,
     count_four_torsion,
     legendre,
     legendre_count_table,
@@ -16,6 +17,9 @@ from legcurves.field import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     Field,
+    _first_nonresidue,
+    _psub,
+    _ptrim,
     field_of_order,
     is_nth_power,
     make_field,
@@ -482,3 +486,125 @@ def test_fe_mixing_follows_field_equality():
     with pytest.raises(ValueError):
         a * other([1, 2])
     assert a != make_field(7, 2)([1, 2])
+
+
+# ---------------------------------------------------------------------------
+# Reference element arithmetic on coefficient tuples: a schoolbook product
+# reduced by the modulus, an extended Euclid with its own long division,
+# and square-and-multiply on that product.  `Fe` runs on the shared list
+# kernel instead; these loops are what it must agree with.
+
+def ref_mul(f, a, b):
+    p, n, mod = f.p, f.n, f.modulus
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    for i in range(2 * n - 2, n - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(n):
+                out[i - n + j] = (out[i - n + j] - c * mod[j]) % p
+    return tuple(out[:n])
+
+
+def ref_inv(f, a):
+    p = f.p
+    r0, r1 = list(f.modulus), _ptrim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        linv = pow(r1[-1], p - 2, p)
+        d = len(r1) - 1
+        q = [0] * (len(r0) - d)
+        r = list(r0)
+        for i in range(len(r) - 1, d - 1, -1):
+            c = r[i] * linv % p
+            if c:
+                q[i - d] = c
+                for j in range(d + 1):
+                    r[i - d + j] = (r[i - d + j] - c * r1[j]) % p
+        _ptrim(r)
+        qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    qs1[i + j] = (qs1[i + j] + qi * sj) % p
+        s = _psub(s0, qs1, p)
+        r0, r1, s0, s1 = r1, r, s1, s
+    c = pow(r1[0], p - 2, p)
+    out = [x * c % p for x in s1]
+    out += [0] * (f.n - len(out))
+    return tuple(out[:f.n])
+
+
+def ref_pow(f, a, e):
+    if e < 0:
+        a, e = ref_inv(f, a), -e
+    result = (1,) + (0,) * (f.n - 1)
+    while e:
+        if e & 1:
+            result = ref_mul(f, result, a)
+        a = ref_mul(f, a, a)
+        e >>= 1
+    return result
+
+
+def _check_against_reference(f, a, b, exponents):
+    assert (a * b).coeffs == ref_mul(f, a.coeffs, b.coeffs)
+    for e in exponents:
+        if a or e >= 0:
+            assert (a ** e).coeffs == ref_pow(f, a.coeffs, e), (a, e)
+    if a:
+        assert a.inv().coeffs == ref_inv(f, a.coeffs)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+
+
+@pytest.mark.parametrize("q", [9, 16, 25, 27, 81])
+def test_fe_ops_match_the_reference_on_every_pair(q):
+    f = field_of_order(q)
+    els = list(f.elements())
+    for a in els:
+        for b in els:
+            assert (a * b).coeffs == ref_mul(f, a.coeffs, b.coeffs)
+        _check_against_reference(
+            f, a, a, (0, 1, 2, 3, q - 2, q - 1, q, 5 * q + 3, -1, -q - 1))
+
+
+@pytest.mark.parametrize("p, n", [(3, 13), (2, 20), (1048573, 2)])
+def test_fe_ops_match_the_reference_sampled(p, n):
+    f = make_field(p, n)
+    rng = random.Random(p * 100 + n)
+    for _ in range(150):
+        a, b = (f([rng.randrange(p) for _ in range(n)]) for _ in range(2))
+        _check_against_reference(
+            f, a, b, (rng.randrange(f.q), -rng.randrange(1, f.q),
+                      rng.randrange(f.q ** 2)))
+
+
+@pytest.mark.parametrize("p, n", [(5, 9), (1048573, 2), (1048571, 2)])
+def test_sqrt_above_the_enumeration_cap(p, n):
+    # q = 1 mod 4 over 2^20: Tonelli-Shanks needs a non-residue, and
+    # finding it must not enumerate the field.  For p = 3 mod 4 the
+    # first p elements of GF(p^2) in lex order are squares.
+    f = make_field(p, n)
+    assert f.q > DEFAULT_ENUMERATION_CAP and f.q % 4 == 1
+    rng = random.Random(p)
+    for _ in range(20):
+        a = f([rng.randrange(p) for _ in range(n)])
+        r = sqrt(a * a)
+        assert r in (a, -a) and r.coeffs <= (-r).coeffs
+    z = _first_nonresidue(f)
+    assert quadratic_character(z) == -1 and sqrt(z) is None
+
+
+@pytest.mark.parametrize("q", ODD_Q_121 + [343, 625, 961, 2187, 2401])
+def test_first_nonresidue_matches_the_chi_table_scan(q):
+    f = field_of_order(q)
+    chi = f._chi_codes()
+    want = next(c for c in f._lex_codes() if c and chi[c] == -1)
+    assert f.code(_first_nonresidue(f)) == want
+    assert _first_nonsquare_code(f) == want

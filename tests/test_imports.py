@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses what it imports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,40 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def _tracing_targets():
+    """(FUNCTIONS, METHODS, FE_OPS, imported names) of the benchmark's
+    tracer, read with ast so the benchmark is not imported."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    found, names = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            found[getattr(node.targets[0], "id", None)] = node.value
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith(
+                "legcurves."):
+            for a in node.names:
+                names[a.asname or a.name] = (node.module, a.name)
+    methods = [(k.elts[0].id, ast.literal_eval(k.elts[1]))
+               for k in found["METHODS"].keys]
+    return (ast.literal_eval(found["FUNCTIONS"]), methods,
+            ast.literal_eval(found["FE_OPS"]), names)
+
+
+def test_every_traced_entry_point_exists():
+    functions, methods, fe_ops, names = _tracing_targets()
+    assert functions and methods and fe_ops
+    for modname, attrs in functions.items():
+        mod = importlib.import_module("legcurves." + modname)
+        for attr in attrs:
+            assert callable(getattr(mod, attr, None)), f"{modname}.{attr}"
+
+    def cls(name):
+        module, attr = names[name]
+        return getattr(importlib.import_module(module), attr)
+    # the tracer swaps these in the class __dict__, not via inheritance
+    for name, attr in methods:
+        assert attr in cls(name).__dict__, f"{name}.{attr}"
+    for attr in fe_ops:
+        assert attr in cls("Fe").__dict__, f"Fe.{attr}"

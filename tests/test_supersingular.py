@@ -28,7 +28,7 @@ SMALL_PRIMES = [p for p in range(3, 62, 2) if _is_prime(p)]
 def roots_in(f, field):
     """Distinct roots of prime-field f in `field`, lex-sorted, by Horner
     at every element: the generic reference for the root tables."""
-    coeffs = [field(int(c)) for c in reversed(f.coeffs)]
+    coeffs = [field(c) for c in reversed(f)]
     out = []
     for x in field.elements():
         acc = field.zero
@@ -46,8 +46,8 @@ def scan_lambdas(p):
     poly = deuring(p)
     f2 = make_field(p, 2)
     m0 = f2.modulus[0]
-    rev = [int(c) for c in poly.coeffs][::-1]
-    fp_roots = supersingular._prime_field_roots(p, rev)
+    rev = poly[::-1]
+    fp_roots = supersingular._prime_field_roots(poly, p)
     codes = list(fp_roots)
     # b and p - b index conjugate elements: a + b*t and a - b*t
     for b in range(1, (p - 1) // 2 + 1):
@@ -114,7 +114,7 @@ class TestRootTables:
     def test_self_check_catches_a_wrong_count(self, p, monkeypatch):
         real = supersingular.distinct_root_count
         monkeypatch.setattr(supersingular, "distinct_root_count",
-                            lambda f, order: real(f, order) + 1)
+                            lambda f, p, order: real(f, p, order) + 1)
         supersingular_lambdas.cache_clear()
         try:
             with pytest.raises(RuntimeError, match=f"p={p}"):
@@ -131,7 +131,8 @@ class TestRootTables:
     def test_a_dropped_factor_is_caught(self, p, monkeypatch):
         real = supersingular.quadratic_factors
         monkeypatch.setattr(supersingular, "quadratic_factors",
-                            lambda f, roots, rng: real(f, roots, rng)[1:])
+                            lambda f, p, roots, rng:
+                            real(f, p, roots, rng)[1:])
         supersingular_lambdas.cache_clear()
         try:
             with pytest.raises(RuntimeError, match=f"p={p} disagree"):
@@ -281,6 +282,6 @@ class TestPrimeFieldCount:
             if not _is_prime(p) or p % 4 != 3:
                 continue
             acc = 0
-            for c in reversed(deuring(p).coeffs):  # Horner at x = -1
-                acc = (-acc + int(c)) % p
+            for c in reversed(deuring(p)):  # Horner at x = -1
+                acc = (-acc + c) % p
             assert acc == 0, p
