@@ -6,15 +6,16 @@ computation: dividing the equation at nonzero x by x^2 turns the fiber
 into an Artin-Schreier condition, so each x contributes 2 points when
 Tr(x + beta + lambda/x^2) vanishes and 0 otherwise, with one point at
 x = 0 and one at infinity.  The count is divisible by 4 exactly on the
-beta-trace-zero class, which is the twist classification.  Wherever
-the field is small enough (q <= _LITERAL_CAP) a literal count backs the
-trace route on every call: it reads a per-field fiber table,
+beta-trace-zero class, which is the twist classification.  Every trace
+count runs one loop, `_trace_hits`.  Wherever the field is small enough
+(q <= _LITERAL_CAP) a literal count backs the trace route on every
+call: `_fiber_sum` reads a per-field fiber table,
 fib[x][v] = |{y : y^2 + xy = v}|, built once by full (x, y) enumeration.
 """
 
 from __future__ import annotations
 
-from .field import check_cap, make_field, trace2
+from .field import check_cap, check_hasse, make_field, trace2
 
 _LITERAL_CAP = 256
 
@@ -77,52 +78,61 @@ def _literal_fibers(f):
     return f._get("literal_fibers", build)
 
 
+def _fiber_sum(f, rhs):
+    """Affine points of y^2 + xy = rhs[x]: the literal (x, y) scan,
+    regrouped by x through the fiber table."""
+    return sum(map(list.__getitem__, _literal_fibers(f), rhs))
+
+
 def _literal_affine_count(curve):
-    """Affine points of the curve: the literal (x, y) scan, regrouped by
-    x through the fiber table."""
+    """Affine points of the curve, by `_fiber_sum`."""
     f = curve.field
     mul = f._mul_func()
     bc = f.code(curve.beta)
     lc = f.code(curve.lam)
-    return sum(row[mul(mul(x, x), x ^ bc) ^ lc]
-               for x, row in enumerate(_literal_fibers(f)))
+    return _fiber_sum(f, [mul(mul(x, x), x ^ bc) ^ lc for x in range(f.q)])
 
 
 def _literal_image_count(lam):
-    """Affine points of eta^2 + xi*eta = xi^3 + lambda*xi, read off the
-    same fiber table."""
+    """Affine points of eta^2 + xi*eta = xi^3 + lambda*xi, by `_fiber_sum`."""
     f = lam.field
     mul = f._mul_func()
     lc = f.code(lam)
-    return sum(row[mul(mul(x, x), x) ^ mul(lc, x)]
-               for x, row in enumerate(_literal_fibers(f)))
+    return _fiber_sum(f, [mul(mul(x, x), x) ^ mul(lc, x) for x in range(f.q)])
+
+
+def _inv_sq_codes(f):
+    """x^-2 on codes, 0 at x = 0; cached on the field."""
+    mul, inv = f._mul_func(), f._inv_codes()
+    return f._get("inv_sq_codes", lambda: [0] + [
+        mul(inv[x], inv[x]) for x in range(1, f.q)])
+
+
+def _trace_hits(f, c, w):
+    """|{x != 0 : Tr(x) = Tr(c * w[x])}|, the one trace-count loop."""
+    tr = f._trace_codes()
+    mul = f._mul_func()
+    return sum(tr[x] == tr[mul(c, w[x])] for x in range(1, f.q))
 
 
 def char2_count(curve, cap=None):
     """2 + 2*|{x != 0 : Tr(x + beta + lambda/x^2) = 0}|, checked against
-    a literal (x, y) scan on small fields."""
+    a literal (x, y) scan on small fields.  The set has z = `_trace_hits`
+    (c = lambda, w = x^-2) elements, or q - 1 - z when Tr(beta) = 1."""
     f = curve.field
     q = f.q
     check_cap(q, cap, "counting", f)
-    tr = f._trace_codes()
-    mul = f._mul_func()
-    inv = f._inv_codes()
-    lc = f.code(curve.lam)
-    tb = tr[f.code(curve.beta)]
-    hits = 0
-    for x in range(1, q):
-        ix = inv[x]
-        if tr[x] ^ tb ^ tr[mul(lc, mul(ix, ix))] == 0:
-            hits += 1
-    n = 2 + 2 * hits
+    z = _trace_hits(f, f.code(curve.lam), _inv_sq_codes(f))
+    if f._trace_codes()[f.code(curve.beta)]:
+        z = q - 1 - z
+    n = 2 + 2 * z
     if q <= _LITERAL_CAP:
         literal = 1 + _literal_affine_count(curve)
         if literal != n:
             raise RuntimeError(
                 f"trace count {n} and literal count {literal} disagree "
                 f"for {curve!r}")
-    if (n - q - 1) ** 2 > 4 * q:
-        raise RuntimeError(f"count {n} violates the Hasse bound for q={q}")
+    check_hasse(n, q)
     return n
 
 
@@ -157,18 +167,10 @@ def verify_char2_prop(n, cap=None):
     check_cap(q, cap, "sweep", f)
     tr = f._trace_codes()
     mul = f._mul_func()
-    inv = f._inv_codes()
-    sq_inv = [0] + [mul(inv[x], inv[x]) for x in range(1, q)]
     for lc in range(1, q):
-        z0 = 0
-        for x in range(1, q):
-            if tr[x] == tr[mul(lc, sq_inv[x])]:
-                z0 += 1
-        count0 = 2 + 2 * z0
-        count1 = 2 + 2 * (q - 1 - z0)
-        if count0 % 4:
-            return False
-        if count1 % 4 == 0:
+        # the counts 2 + 2z of the two beta classes: (i) and (ii)
+        z0 = _trace_hits(f, lc, _inv_sq_codes(f))
+        if (2 + 2 * z0) % 4 or (2 + 2 * (q - 1 - z0)) % 4 == 0:
             return False
         s = f.code(char2_sqrt(f.from_code(lc)))
         fixed = [x for x in range(1, q) if mul(x, x) == s]
@@ -235,15 +237,9 @@ def frobenius_image_check(lam, cap=None):
     q = f.q
     check_cap(q, cap, "counting", f)
     n1 = char2_count(Char2Curve(f, 0, lam * lam), cap)
-    tr = f._trace_codes()
-    mul = f._mul_func()
-    inv = f._inv_codes()
+    # Tr(x + lambda/x) = 0 exactly when Tr(x) = Tr(lambda * x^-1)
     lc = f.code(lam)
-    hits = 0
-    for x in range(1, q):
-        if tr[x ^ mul(lc, inv[x])] == 0:
-            hits += 1
-    n2 = 2 + 2 * hits
+    n2 = 2 + 2 * _trace_hits(f, lc, f._inv_codes())
     if q <= _LITERAL_CAP and 1 + _literal_image_count(lam) != n2:
         raise RuntimeError(
             f"trace and literal counts disagree on the image model "

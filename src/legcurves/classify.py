@@ -55,7 +55,7 @@ class ClassRecord:
     """One Hasse-interval count over F_q.
 
     `attained` records whether any elliptic curve over F_q (of any
-    shape) has N points; None when the all-curves oracle was skipped.
+    shape) has N points.
     `legendre_isogenous` is the fact bool(witnesses), not the
     prediction, so unattained counts stay False.
     """
@@ -65,7 +65,7 @@ class ClassRecord:
     legendre_witnesses: list = dc_field(default_factory=list)
     legendre_isogenous: bool = False
     excluded_reason: str | None = None
-    attained: bool | None = None
+    attained: bool = False
 
 
 def _attained_counts(f, cap=None):
@@ -112,7 +112,7 @@ def _attained_counts(f, cap=None):
     return set(range(lo, hi + 1)) - remaining
 
 
-def census(q, cap=None, with_attained=True):
+def census(q, cap=None):
     """One ClassRecord per count in the Hasse interval, N ascending."""
     f = field_of_order(q)
     if f.p == 2:
@@ -121,7 +121,7 @@ def census(q, cap=None, with_attained=True):
     by_count = {}
     for code, n in table.items():
         by_count.setdefault(n, []).append(code)
-    attained = _attained_counts(f, cap) if with_attained else None
+    attained = _attained_counts(f, cap)
     sq = isqrt(q)
     exception = (normalized_r(q) + 1) ** 2 if sq * sq == q else None
     lo, hi = hasse_interval(q)
@@ -140,7 +140,7 @@ def census(q, cap=None, with_attained=True):
             legendre_witnesses=witnesses,
             legendre_isogenous=bool(witnesses),
             excluded_reason=reason,
-            attained=None if attained is None else n in attained,
+            attained=n in attained,
         ))
     return records
 

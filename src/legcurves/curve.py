@@ -24,8 +24,9 @@ count table and the all-curves oracle of `classify` share a fourth,
 `_chi_shift_sums`: the character sums sum_v w[v] * chi(v + b) for every
 b at once, from one exact product of two packed integers; the
 self-twist sweep reads its q + 1 prefilter from that table too.  The
-verify_* sweeps at the bottom are exhaustive oracles used by the test
-suite and the CLI.
+one literal (x, y) count of the family, `_literal_legendre_counts`,
+backs them in the twist check and in `stats`.  The verify_* sweeps at
+the bottom are exhaustive oracles used by the test suite and the CLI.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 from math import comb, lcm
 import operator
 
-from .field import Fe, _first_nonresidue, check_cap, prime_factors
+from .field import Fe, _first_nonresidue, check_cap, check_hasse, prime_factors
 
 # Packed operands of `_chi_shift_sums` hold at most this many slots per
 # field element; larger layouts move top digits to an outer loop.
@@ -181,13 +182,10 @@ class Curve:
     def multiply(self, point, k):
         if not self.contains(point):
             raise ValueError("point is not on the curve")
-        return self._multiply(point, k)
-
-    def _multiply(self, point, k):
         if k < 0:
             point, k = self.neg(point), -k
-        pair = _ladder(_fe_law(self), self._to_monic(point), k)
-        return self._from_monic(pair)
+        return self._from_monic(
+            _ladder(_fe_law(self), self._to_monic(point), k))
 
     # -- enumeration ---------------------------------------------------
 
@@ -211,9 +209,7 @@ class Curve:
         chi = f._chi_codes()
         roots = tuple(f.code(r) for r in self.monic_roots())
         n = q + 1 + sum(chi[v] for v in _cubic_codes(f, roots))
-        t = q + 1 - n
-        if t * t > 4 * q:
-            raise RuntimeError(f"count {n} violates the Hasse bound for q={q}")
+        check_hasse(n, q)
         return n
 
     def group_structure(self, cap=None):
@@ -382,11 +378,9 @@ def legendre_count_table(field, cap=None):
     for lam in field._lex_codes():
         if lam == 0 or lam == 1:
             continue
-        t = sums[neg[lam]]
-        if t * t > 4 * q:
-            raise RuntimeError(f"count {q + 1 + t} at lambda code {lam} "
-                               f"violates the Hasse bound for q={q}")
-        out[lam] = q + 1 + t
+        n = q + 1 + sums[neg[lam]]
+        check_hasse(n, q, f" at lambda code {lam}")
+        out[lam] = n
     return out
 
 
@@ -508,6 +502,25 @@ def _cubic_codes(field, roots):
     mul = field._mul_func()
     return [mul(mul(sub(x, ra), sub(x, rb)), sub(x, rc))
             for x in range(field.q)]
+
+
+def _literal_legendre_counts(field, d):
+    """L[lambda] = |{(x, y) : d*y^2 = x(x-1)(x-lambda)}| for every
+    lambda code, 0 and 1 included: the literal (x, y) count, grouped by
+    the value v of the cubic.  hist[v] = |{y : d*y^2 = v}| is filled by
+    squaring every y, and the cubic is a - lambda*b with a = x^2(x-1)
+    and b = x(x-1).  Reads no quadratic-character table, so it stays an
+    oracle for the character-sum routes."""
+    q = field.q
+    sub = field._sub_func()
+    mul = field._mul_func()
+    hist = [0] * q
+    for y in range(q):
+        hist[mul(d, mul(y, y))] += 1
+    b = [mul(x, sub(x, 1)) for x in range(q)]
+    ab = [(mul(x, bx), bx) for x, bx in enumerate(b)]
+    return [sum(hist[sub(a, mul(lam, b))] for a, b in ab)
+            for lam in range(q)]
 
 
 def _affine_codes(field, roots, dinv=1):
@@ -772,34 +785,28 @@ def _first_nonsquare_code(field):
     return field.code(_first_nonresidue(field))
 
 
-def verify_twist_counts(field, cap=None, sample=5):
+def verify_twist_counts(field, cap=None):
     """count(E) + count(nonsquare twist of E) = 2q + 2 on every Legendre
-    curve, with the twist counted by brute-force point enumeration, plus
-    a check that the count only depends on the square class of the twist."""
+    curve, with the twist counted by the literal (x, y) count
+    `_literal_legendre_counts`, plus a check that the count only depends
+    on the square class of the twist."""
     f = field
     q = f.q
     failures = []
-    d0 = f.from_code(_first_nonsquare_code(f))
+    d0c = _first_nonsquare_code(f)
+    d0 = f.from_code(d0c)
     table = legendre_count_table(f, cap)
-    mul = f._mul_func()
     chi = f._chi_codes()
-    d0c = f.code(d0)
-    # independent count: hits[v] = |{y : delta*y^2 = v}| over every y, so
-    # the literal (x, y) scan of each twist is a sum of lookups by x
-    hits = [0] * q
-    for y in range(q):
-        hits[mul(d0c, mul(y, y))] += 1
+    literal = _literal_legendre_counts(f, d0c)
     for lamc, n in table.items():
-        e = legendre(f, f.from_code(lamc))
-        tw = twist(e, d0)
-        affine = sum(hits[v] for v in _cubic_codes(f, (0, 1, lamc)))
-        if n + affine + 1 != 2 * q + 2:
-            failures.append(
-                f"q={q} lambda={lamc}: twist counts sum to {n + affine + 1}")
+        total = n + literal[lamc] + 1
+        if total != 2 * q + 2:
+            failures.append(f"q={q} lambda={lamc}: twist counts sum to {total}")
+        tw = twist(legendre(f, f.from_code(lamc)), d0)
         if twist(tw, d0).count_points(cap) != n:
             failures.append(f"q={q} lambda={lamc}: square twist changed the count")
-    # square-class independence on a few curves, every nonsquare delta
-    lams = list(table)[:sample]
+    # square-class independence on five curves, every nonsquare delta
+    lams = list(table)[:5]
     nonsquares = [c for c in range(1, q) if chi[c] == -1]
     for lamc in lams:
         e = legendre(f, f.from_code(lamc))

@@ -45,6 +45,14 @@ def check_cap(size, cap, what, where):
             f"{what} over {where} needs {size} elements, cap is {limit}")
 
 
+def check_hasse(n, q, at=""):
+    """Raise RuntimeError when the point count n over F_q breaks the
+    Hasse bound (q + 1 - n)^2 <= 4q; `at` names the curve."""
+    t = q + 1 - n
+    if t * t > 4 * q:
+        raise RuntimeError(f"count {n}{at} violates the Hasse bound for q={q}")
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -479,17 +487,12 @@ class Field:
 
     def _sqrt_codes(self):
         """sqrt[code] = code of the canonical square root, None for
-        non-residues.  Canonical = lexicographically smaller root."""
+        non-residues.  Canonical = lexicographically smaller root; odd
+        characteristic only (characteristic 2 roots by `char2_sqrt`)."""
         def build():
             if self.p == 2:
-                exp, log = self._explog()
-                m = self.q - 1
-                out = [0] * self.q
-                half = (m + 1) // 2  # 2*half = 1 mod m, m odd
-                for c in range(1, self.q):
-                    out[c] = exp[log[c] * half % m]
-                return out
-            exp, log = self._explog()
+                raise ValueError("square-root table needs odd characteristic")
+            exp, _ = self._explog()
             m = self.q - 1
             out = [None] * self.q
             out[0] = 0

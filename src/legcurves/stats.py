@@ -4,16 +4,17 @@ Summing the point counts of every E_lambda over F_q gives the exact
 closed form (q-2)(q+1) + 1 + (-1)^((q-1)/2).  The proof route counts
 the solution triples (x, y, lambda) of the defining equation in one go
 and subtracts the two nodal cubics at lambda = 0 and lambda = 1; both
-routes are implemented and compared.  The second counts (x, y) solutions
-through a histogram of squares and reads no quadratic-character table,
-so that it stays an oracle for the first.
+routes are implemented and compared.  The second reads the literal
+(x, y) counts of `curve._literal_legendre_counts`, which read no
+quadratic-character table, so they stay an oracle for the first and
+are matched against the count table lambda by lambda.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import legendre_count_table
+from .curve import _literal_legendre_counts, legendre_count_table
 from .field import check_cap, field_of_order
 
 DEFAULT_AUX_CAP = 343
@@ -48,36 +49,23 @@ def auxiliary_counts(q, cap=None):
     """(triple_count, nodal_at_zero, nodal_at_one): affine solutions of
     y^2 = x(x-1)(x-lambda) summed over every lambda including 0 and 1,
     then the affine points of the nodal cubics y^2 = x^2(x-1) and
-    y^2 = x(x-1)^2.  Each count is the (x, y) enumeration grouped by the
-    value v of the right-hand side: hist[v] = |{y : y*y = v}|, filled by
-    squaring every y, is the number of y that solve it."""
+    y^2 = x(x-1)^2, which are the literal counts at lambda = 0 and 1."""
     f = field_of_order(q)
     if f.p == 2:
         raise ValueError("the family sums cover odd characteristic")
     check_cap(q, cap, "enumeration", f)
-    sub = f._sub_func()
-    mul = f._mul_func()
-    hist = [0] * q
-    for y in range(q):
-        hist[mul(y, y)] += 1
-    ab = []
-    for x in range(q):
-        b = mul(x, sub(x, 1))
-        ab.append((mul(x, b), b))
-    triples = 0
-    for lam in range(q):
-        triples += sum(hist[sub(a, mul(lam, b))] for a, b in ab)
-    nodal_zero = sum(hist[mul(mul(x, x), sub(x, 1))] for x in range(q))
-    nodal_one = sum(hist[mul(x, mul(sub(x, 1), sub(x, 1)))] for x in range(q))
-    return triples, nodal_zero, nodal_one
+    literal = _literal_legendre_counts(f, 1)
+    return sum(literal), literal[0], literal[1]
 
 
 def legendre_sum(q, cap=None, aux_cap=DEFAULT_AUX_CAP):
-    """StatsRecord for q; proof-route counts included while q <= aux_cap."""
+    """StatsRecord for q; proof-route counts included, and every count of
+    the table matched against the literal count, while q <= aux_cap."""
     f = field_of_order(q)
     if f.p == 2:
         raise ValueError("the family sums cover odd characteristic")
-    total = sum(legendre_count_table(f, cap).values())
+    table = legendre_count_table(f, cap)
+    total = sum(table.values())
     main_term = (q - 2) * (q + 1)
     record = StatsRecord(
         q=q,
@@ -86,10 +74,16 @@ def legendre_sum(q, cap=None, aux_cap=DEFAULT_AUX_CAP):
         formula_ok=total == main_term + 1 + count_sign(q),
     )
     if q <= aux_cap:
-        triples, n0, n1 = auxiliary_counts(q, cap)
-        record.triple_count = triples
-        record.nodal_at_zero = n0
-        record.nodal_at_one = n1
+        # the proof route and the per-lambda check read one literal pass
+        check_cap(q, cap, "enumeration", f)
+        literal = _literal_legendre_counts(f, 1)
+        for lam, n in table.items():
+            if literal[lam] + 1 != n:
+                raise RuntimeError(
+                    f"count table {n} and literal count {literal[lam] + 1} "
+                    f"disagree at lambda code {lam} for q={q}")
+        record.triple_count = sum(literal)
+        record.nodal_at_zero, record.nodal_at_one = literal[0], literal[1]
     return record
 
 

@@ -89,7 +89,7 @@ def first_witnesses(q):
     """{N: lexicographically smallest Legendre lambda with N points, or
     None} over the Hasse interval, read from the census."""
     return {r.n: (r.legendre_witnesses or [None])[0]
-            for r in census(q, with_attained=False)}
+            for r in census(q)}
 
 
 class TestWitness:
@@ -144,10 +144,6 @@ class TestCensus:
             codes = [w.field.code(w) for w in rec.legendre_witnesses]
             lex = list(make_field(3, 2)._lex_codes())
             assert codes == sorted(codes, key=lex.index)
-
-    def test_attained_skippable(self):
-        for rec in census(7, with_attained=False):
-            assert rec.attained is None
 
     def test_even_q_rejected(self):
         with pytest.raises(ValueError):

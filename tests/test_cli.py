@@ -105,6 +105,17 @@ class TestSupersingularCommand:
             run_main(["supersingular", "--p", "9"])
         assert exc.value.code == 2
 
+    def test_one_cap_rule_for_a_single_p_and_a_range(self, capsys):
+        # GF(11^2) is above the cap: the row comes without roots, whether
+        # p = 11 is asked alone or inside a range
+        assert run_main(["supersingular", "--p", "11", "--max-q", "100"]) == 0
+        (alone,) = json.loads(capsys.readouterr().out)
+        assert run_main(["supersingular", "--p-max", "13",
+                         "--max-q", "100"]) == 0
+        by_p = {r["p"]: r for r in json.loads(capsys.readouterr().out)}
+        assert alone == by_p[11]
+        assert alone["roots"] is None and by_p[7]["roots"] is not None
+
 
 class TestChar2Command:
     def test_range_rows(self, capsys):
@@ -120,6 +131,19 @@ class TestChar2Command:
         rows = json.loads(capsys.readouterr().out)
         assert all(r["beta"] == 2 for r in rows)
         assert all(r["count"] % 4 != 0 for r in rows)  # trace-1 beta
+
+
+class TestCapOverflowInRange:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--q-max", "30", "--max-q", "20"],
+        ["char2", "--n-max", "4", "--max-q", "8"],
+    ])
+    def test_exit_two_and_no_rows(self, argv, capsys):
+        # the first values fit the cap, a later one does not
+        assert run_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "enumeration cap" in captured.err
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 import pytest
 
 from legcurves import field_of_order, legendre_count_table, odd_prime_powers
+from legcurves import stats
 from legcurves.stats import (
     auxiliary_counts,
     count_sign,
@@ -93,3 +94,18 @@ class TestVerify:
             if q % 4 == 1:
                 assert rec.main_term % 4 == 2
                 assert rec.total % 4 == 0
+
+    @pytest.mark.parametrize("q", [13, 25, 27, 49])
+    def test_compensating_table_errors_are_caught(self, q, monkeypatch):
+        # one count 4 too high and another 4 too low keep the family sum
+        def mutant(f, cap=None):
+            table = dict(legendre_count_table(f, cap))
+            first, second = list(table)[:2]
+            table[first] += 4
+            table[second] -= 4
+            return table
+        monkeypatch.setattr(stats, "legendre_count_table", mutant)
+        first = list(legendre_count_table(field_of_order(q)))[0]
+        with pytest.raises(RuntimeError,
+                           match=f"lambda code {first} for q={q}$"):
+            verify_stats(q)
