@@ -6,27 +6,24 @@ is checked at construction.  The isomorphism test does an explicit
 coordinate-change search, which stays affordable at desk scale and has
 no special cases at j = 0 or 1728.
 
-The chord-tangent law is written once: `_chord_tangent`, the law of a
-monic model on (x, y) pairs, with `_ladder` for scalar multiples.  The
-sweeps run it on integer element codes with the field's lookup tables;
-`Curve.add` and `Curve.multiply` run it on `Fe` elements of the monic
-model, (x, y) -> (d*x, d^2*y), so they build no table and work on every
-field the package builds.  `verify_group_law` checks the code law that
-every sweep runs.
-
-Point enumeration, point counting, group structure, the four-torsion
-count and the 2-descent sweep share the primitives of the integer-code
-engine, which work on element codes with the field's O(q) lookup tables
-(extension fields add by Zech's logarithm): `_cubic_codes` (the cubic
-at every x), `_affine_codes` (the affine points, in the order
-`Curve.points` returns them) and `_chord_tangent`.  The lambda-line
-count table and the all-curves oracle of `classify` share a fourth,
-`_chi_shift_sums`: the character sums sum_v w[v] * chi(v + b) for every
-b at once, from one exact product of two packed integers; the
-self-twist sweep reads its q + 1 prefilter from that table too.  The
-one literal (x, y) count of the family, `_literal_legendre_counts`,
-backs them in the twist check and in `stats`.  The verify_* sweeps at
-the bottom are exhaustive oracles used by the test suite and the CLI.
+The sweeps share four primitives of the monic model y^2 = f(x) =
+(x-ra)(x-rb)(x-rc) on integer element codes, with the field's O(q)
+lookup tables (extension fields add by Zech's logarithm):
+`_cubic_codes` (f at every x), `_affine_codes` (the affine points, in
+`Curve.points` order), `_chord_tangent` (the group law on (x, y)
+pairs, written once; `_ladder` multiplies) and `_double_x_codes`
+(x(2P) from x alone, for the 2-descent and four-torsion sweeps).
+`Curve.add` and `Curve.multiply` run `_chord_tangent` on `Fe` elements
+of the monic model, (x, y) -> (d*x, d^2*y), so they build no table and
+work on every field the package builds; `verify_group_law` checks the
+code law and the x-only map against it.  The lambda-line count table
+and the all-curves oracle of `classify` share `_chi_shift_sums`: the
+character sums sum_v w[v] * chi(v + b) for every b at once, from one
+exact product of two packed integers; the self-twist sweep reads its
+q + 1 prefilter from that table too.  The one literal (x, y) count of
+the family, `_literal_legendre_counts`, backs them in the twist check
+and in `stats`.  The verify_* sweeps at the bottom are exhaustive
+oracles used by the test suite and the CLI.
 """
 
 from __future__ import annotations
@@ -283,19 +280,13 @@ def full_four_torsion_rational(curve):
 
 
 def count_four_torsion(curve, cap=None):
-    """Number of rational points killed by 4 (including infinity),
-    counted on the monic model: P counts when 2P is infinity or has
-    y = 0."""
+    """Points killed by 4, on the monic model: infinity, the three with
+    y = 0, and +-P for every x whose x(2P) is a root."""
     f = curve.field
     check_cap(f.q, cap, "point enumeration", f)
     roots = tuple(f.code(r) for r in curve.monic_roots())
-    eadd = _chord_tangent(f, roots)
-    total = 1
-    for pt in _affine_codes(f, roots):
-        d = eadd(pt, pt)
-        if d is None or not d[1]:
-            total += 1
-    return total
+    halves = sum(x2 in roots for x2 in _double_x_codes(f, roots).values())
+    return 4 + 2 * halves
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +495,28 @@ def _cubic_codes(field, roots):
             for x in range(field.q)]
 
 
+def _double_x_codes(field, roots):
+    """{x: x(2P)} for the affine P = (x, y), y != 0, of the monic curve
+    y^2 = f(x) = (x-ra)(x-rb)(x-rc), so where chi(f(x)) = 1 (+-P share
+    it): x(2P) = f'(x)^2 / (4 f(x)) + s1 - 2x, s1 the root sum."""
+    chi, inv = field._chi_codes(), field._inv_codes()
+    ra, rb, rc = roots
+    p = field.p
+    if field.n == 1:
+        s1, s2 = ra + rb + rc, ra * rb + ra * rc + rb * rc
+        # f inline, not from `_cubic_codes`: this is the descent's hot loop
+        return {x: (((3 * x - 2 * s1) * x + s2) ** 2 * inv[4 * c % p]
+                    + s1 - 2 * x) % p for x in range(p)
+                if chi[c := (x - ra) * (x - rb) * (x - rc) % p] == 1}
+    add, sub, mul = field._add_func(), field._sub_func(), field._mul_func()
+    s1 = add(add(ra, rb), rc)
+    s2 = add(add(mul(ra, rb), mul(ra, rc)), mul(rb, rc))
+    three, four, twos1 = 3 % p, 4 % p, add(s1, s1)  # as element codes
+    return {x: sub(sub(add(mul(mul(fp, fp), inv[mul(four, c)]), s1), x), x)
+            for x, c in enumerate(_cubic_codes(field, roots)) if chi[c] == 1
+            for fp in [add(mul(sub(mul(three, x), twos1), x), s2)]}
+
+
 def _literal_legendre_counts(field, d):
     """L[lambda] = |{(x, y) : d*y^2 = x(x-1)(x-lambda)}| for every
     lambda code, 0 and 1 included: the literal (x, y) count, grouped by
@@ -654,24 +667,6 @@ def _group_structure_codes(field, roots):
     return (d1, exponent)
 
 
-def _doubling_image(field, roots):
-    """(affine points, image of doubling) for the monic curve with the
-    given root codes; points are (x, y) code pairs, infinity is None."""
-    affine = _affine_codes(field, roots)
-    eadd = _chord_tangent(field, roots)
-    neg = field._neg_codes()
-    image = {None}
-    last = None
-    for x, y in affine:
-        # double the first point of each +-P pair only: 2(-P) = -2P
-        if y and x != last:
-            x3, y3 = eadd((x, y), (x, y))
-            image.add((x3, y3))
-            image.add((x3, neg[y3]))
-        last = x
-    return affine, image
-
-
 # ---------------------------------------------------------------------------
 # exhaustive verification sweeps; each returns a list of failure strings
 
@@ -691,10 +686,11 @@ def _unrank_triple(q, r):
 
 def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
     """Associativity, commutativity, inverses, identity and closure of
-    `_chord_tangent` on code points, the law every sweep runs.  Each
-    drawn curve delta*y^2 = (x-ra)(x-rb)(x-rc) is checked through its
-    monic model (x, y) -> (d*x, d^2*y), as `Curve.add` runs it; failure
-    messages name points by their monic codes.
+    `_chord_tangent` on code points, the law every sweep runs, and the
+    x-only map `_double_x_codes` against its doubling.  Each drawn curve
+    delta*y^2 = (x-ra)(x-rb)(x-rc) is checked through its monic model
+    (x, y) -> (d*x, d^2*y), as `Curve.add` runs it; failure messages
+    name points by their monic codes.
 
     Exhaustive over curves and point triples while the totals stay below
     the `curves` / `triples` budgets, seeded random samples beyond that.
@@ -723,6 +719,7 @@ def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
         monic = tuple(mul(dc, r) for r in roots)
         eadd = _chord_tangent(field, monic)
         cubic = _cubic_codes(field, monic)
+        doubled = _double_x_codes(field, monic)
         # the drawn curve's points in `Curve.points` order, carried over
         pts = [None] + [(mul(dc, x), mul(dc, mul(dc, y)))
                         for x, y in _affine_codes(field, roots, inv[dc])]
@@ -733,6 +730,10 @@ def verify_group_law(field, curves=40, triples=60, seed=0, cap=None):
             minus = None if pt is None else (pt[0], neg[pt[1]])
             if eadd(pt, minus) is not None:
                 failures.append(f"{tag}: {pt} plus its negative is affine")
+        for x, y in pts[1:]:
+            if y and doubled.get(x) != (eadd((x, y), (x, y)) or [None])[0]:
+                failures.append(f"{tag}: x-only doubling of {(x, y)} "
+                                f"differs from the law")
         n = len(pts)
         if n ** 3 <= triples:
             trips = itertools.product(pts, pts, pts)
@@ -822,43 +823,42 @@ def verify_twist_counts(field, cap=None):
 
 
 def verify_two_descent_kernel(field):
-    """Both halves of the 2-descent picture, against doubling as oracle:
+    """Both halves of the 2-descent picture, against doubling as oracle
+    (a point is a double exactly when its x is some x(2P) of
+    `_double_x_codes`, as 2E is closed under negation):
 
     (a) on every monic curve, a 2-torsion point (g, 0) is a double
         exactly when its two root differences are both squares;
     (b) on every Legendre curve, the square-class triple of an affine
-        point is trivial exactly when the point is a double.
-    """
+        point is trivial exactly when the point is a double."""
     f = field
     q = f.q
     sub = f._sub_func()
     chi = f._chi_codes()
     failures = []
     for roots in itertools.combinations(range(q), 3):
-        _, image = _doubling_image(f, roots)
+        doubled = set(_double_x_codes(f, roots).values())
         ra, rb, rc = roots
         for g, o1, o2 in ((ra, rb, rc), (rb, ra, rc), (rc, ra, rb)):
-            member = (g, 0) in image
+            member = g in doubled
             squares = (chi[sub(g, o1)] == 1 and chi[sub(g, o2)] == 1)
             if member != squares:
                 failures.append(
                     f"q={q} roots={roots}: 2-torsion point at {g} is "
                     f"{'a' if member else 'not a'} double but the square "
                     f"test says otherwise")
-    for lamc in range(q):
-        if lamc in (0, 1):
+        if (ra, rb) != (0, 1):
             continue
-        roots = (0, 1, lamc)
-        affine, image = _doubling_image(f, roots)
-        for x, y in affine:
+        # (b) on the Legendre curve at lambda = rc
+        for x, y in _affine_codes(f, roots):
             vals = [chi[sub(x, r)] for r in roots]
             if 0 in vals:
                 i = vals.index(0)
                 vals[i] = vals[(i + 1) % 3] * vals[(i + 2) % 3]
             trivial = vals == [1, 1, 1]
-            if trivial != ((x, y) in image):
+            if trivial != (x in doubled):
                 failures.append(
-                    f"q={q} lambda={lamc}: kernel mismatch at ({x},{y})")
+                    f"q={q} lambda={rc}: kernel mismatch at ({x},{y})")
     return failures
 
 

@@ -159,6 +159,19 @@ def wrong_tangent_law(field, roots, arith=None):
     return eadd
 
 
+# the real x-only doubling map, kept before any test patches it
+_double_x_codes = curve_module._double_x_codes
+
+
+def half_denominator_map(field, roots):
+    """x(2P) with 2f(x) in place of 4f(x): f'(x)^2 / (2f(x)) + s1 - 2x,
+    which is 2 * x(2P) - s1 + 2x."""
+    add, sub = field._add_func(), field._sub_func()
+    s1 = add(add(roots[0], roots[1]), roots[2])
+    return {x: add(sub(add(x2, x2), s1), add(x, x))
+            for x, x2 in _double_x_codes(field, roots).items()}
+
+
 def y_plus_one_law(field, roots, arith=None):
     """Every affine sum has y + 1 in place of y."""
     law = _chord_tangent(field, roots, arith)
@@ -542,6 +555,14 @@ class TestGroupLaw:
         failures = verify_group_law(field, curves=30, triples=120)
         assert any(message in msg for msg in failures), failures[:3]
 
+    @pytest.mark.parametrize("field", [F5, F9, F13], ids=lambda f: f"q{f.q}")
+    def test_group_law_sweep_catches_a_wrong_doubling_map(self, field,
+                                                          monkeypatch):
+        monkeypatch.setattr(curve_module, "_double_x_codes",
+                            half_denominator_map)
+        failures = verify_group_law(field, curves=30, triples=120)
+        assert any("x-only doubling" in msg for msg in failures), failures[:3]
+
     def test_unrank_triple_follows_combinations(self):
         for q in (3, 4, 5, 9, 16):
             assert ([_unrank_triple(q, r) for r in range(math.comb(q, 3))]
@@ -772,10 +793,31 @@ class TestDescent:
             if not d.is_infinity:
                 assert descent_image(e, d) == (1, 1, 1)
 
-    @pytest.mark.parametrize("field", [F5, F7, F9, F11, F13],
+    @pytest.mark.parametrize("field", [F5, F7, F9, F11, F13, F25, F27],
                              ids=lambda f: f"q{f.q}")
     def test_kernel_sweep(self, field):
         assert verify_two_descent_kernel(field) == []
+
+    @pytest.mark.parametrize("field", [F5, F7, F9, F11, F13, F25, F27],
+                             ids=lambda f: f"q{f.q}")
+    def test_doubling_map_matches_the_law(self, field):
+        # every affine point of every monic curve, doubled both ways
+        for roots in itertools.combinations(range(field.q), 3):
+            doubled = _double_x_codes(field, roots)
+            eadd = _chord_tangent(field, roots)
+            ys = [(x, y) for x, y in curve_module._affine_codes(field, roots)
+                  if y]
+            assert set(doubled) == {x for x, _ in ys}, roots
+            for pt in ys:
+                assert doubled[pt[0]] == eadd(pt, pt)[0], (roots, pt)
+
+    @pytest.mark.parametrize("field", [F5, F7, F9, F11, F13, F25, F27],
+                             ids=lambda f: f"q{f.q}")
+    def test_kernel_sweep_catches_a_wrong_doubling_map(self, field,
+                                                       monkeypatch):
+        monkeypatch.setattr(curve_module, "_double_x_codes",
+                            half_denominator_map)
+        assert verify_two_descent_kernel(field)
 
 
 class TestTwistIsomorphism:
@@ -847,7 +889,7 @@ class TestFourTorsion:
                 assert count_four_torsion(
                     legendre(field, field.from_code(c))) in (4, 8, 16)
 
-    @pytest.mark.parametrize("q", odd_prime_powers(49))
+    @pytest.mark.parametrize("q", odd_prime_powers(121))
     def test_code_count_matches_fe_count(self, q):
         # every Legendre curve and its twist by the first non-square
         field = field_of_order(q)
@@ -861,6 +903,15 @@ class TestFourTorsion:
                              ids=lambda f: f"q{f.q}")
     def test_equivalence_sweep(self, field):
         assert verify_four_torsion_equivalence(field) == []
+
+    # fields where the wrong map flips a 16-point verdict; at q = 5, 9,
+    # 17 and at q = 3 mod 4 (7 to 41) it flips none
+    @pytest.mark.parametrize("q", [13, 25, 29], ids=lambda q: f"q{q}")
+    def test_equivalence_sweep_catches_a_wrong_doubling_map(self, q,
+                                                            monkeypatch):
+        monkeypatch.setattr(curve_module, "_double_x_codes",
+                            half_denominator_map)
+        assert verify_four_torsion_equivalence(field_of_order(q))
 
 
 class TestTwoIsogeny:

@@ -31,6 +31,30 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def _reads(node):
+    """Names and attribute names an ast subtree reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def test_no_uncalled_private_functions():
+    # every module-level _private function is read somewhere in the
+    # package outside its own def
+    tops = [node for path in sorted(Path(legcurves.__file__).parent.glob(
+        "*.py")) for node in ast.parse(path.read_text()).body]
+    reads = [(node, _reads(node)) for node in tops]
+    private = [node.name for node in tops
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    assert private
+    unread = [name for name in private
+              if not any(name in names for node, names in reads
+                         if getattr(node, "name", None) != name)]
+    assert unread == []
+
+
 def _tracing_targets():
     """(FUNCTIONS, METHODS, FE_OPS, imported names) of the benchmark's
     tracer, read with ast so the benchmark is not imported."""
