@@ -7,7 +7,9 @@ into an Artin-Schreier condition, so each x contributes 2 points when
 Tr(x + beta + lambda/x^2) vanishes and 0 otherwise, with one point at
 x = 0 and one at infinity.  The count is divisible by 4 exactly on the
 beta-trace-zero class, which is the twist classification.  Every trace
-count runs one loop, `_trace_hits`.  Wherever the field is small enough
+count is one kernel, `_trace_hits`: |{x != 0 : Tr(x) = Tr(c * x^e)}| for
+e in {-1, -2}, one rotation of the m-sequence Tr(g^k) of a generator g
+compared bitwise with Tr(g^(e*k)).  Wherever the field is small enough
 (q <= _LITERAL_CAP) a literal count backs the trace route on every
 call: `_fiber_sum` reads a per-field fiber table,
 fib[x][v] = |{y : y^2 + xy = v}|, built once by full (x, y) enumeration.
@@ -101,28 +103,39 @@ def _literal_image_count(lam):
     return _fiber_sum(f, [mul(mul(x, x), x) ^ mul(lc, x) for x in range(f.q)])
 
 
-def _inv_sq_codes(f):
-    """x^-2 on codes, 0 at x = 0; cached on the field."""
-    mul, inv = f._mul_func(), f._inv_codes()
-    return f._get("inv_sq_codes", lambda: [0] + [
-        mul(inv[x], inv[x]) for x in range(1, f.q)])
+def _trace_bits(f, e):
+    """Tr(g^(e*k)) for k < q - 1 (the m-sequence of the generator g,
+    decimated by e) as one int, bit k the k-th term; kept by
+    `Field._get` as a one-entry list."""
+    def build():
+        exp, _ = f._explog()
+        tr = f._trace_codes()
+        m = f.q - 1
+        return [int("".join([str(tr[exp[e * k % m]])
+                             for k in range(m - 1, -1, -1)]), 2)]
+    return f._get(f"trace_bits{e}", build)[0]
 
 
-def _trace_hits(f, c, w):
-    """|{x != 0 : Tr(x) = Tr(c * w[x])}|, the one trace-count loop."""
-    tr = f._trace_codes()
-    mul = f._mul_func()
-    return sum(tr[x] == tr[mul(c, w[x])] for x in range(1, f.q))
+def _trace_hits(f, c, e):
+    """|{x != 0 : Tr(x) = Tr(c * x^e)}| for e in {-1, -2}, the one trace
+    count.  Put c = g^l and x = g^(u - s) with s = l / e mod q - 1 (e is
+    a unit: q - 1 is odd); then c * x^e = g^(e*u), so the count is the
+    number of bits where Tr(g^k), rotated by s, agrees with Tr(g^(e*k))."""
+    m = f.q - 1
+    s = f._explog()[1][c] * pow(e, -1, m) % m
+    t = _trace_bits(f, 1)
+    rot = ((t << s) | (t >> (m - s))) & ((1 << m) - 1)
+    return m - (rot ^ _trace_bits(f, e)).bit_count()
 
 
 def char2_count(curve, cap=None):
     """2 + 2*|{x != 0 : Tr(x + beta + lambda/x^2) = 0}|, checked against
     a literal (x, y) scan on small fields.  The set has z = `_trace_hits`
-    (c = lambda, w = x^-2) elements, or q - 1 - z when Tr(beta) = 1."""
+    (c = lambda, e = -2) elements, or q - 1 - z when Tr(beta) = 1."""
     f = curve.field
     q = f.q
     check_cap(q, cap, "counting", f)
-    z = _trace_hits(f, f.code(curve.lam), _inv_sq_codes(f))
+    z = _trace_hits(f, f.code(curve.lam), -2)
     if f._trace_codes()[f.code(curve.beta)]:
         z = q - 1 - z
     n = 2 + 2 * z
@@ -169,7 +182,7 @@ def verify_char2_prop(n, cap=None):
     mul = f._mul_func()
     for lc in range(1, q):
         # the counts 2 + 2z of the two beta classes: (i) and (ii)
-        z0 = _trace_hits(f, lc, _inv_sq_codes(f))
+        z0 = _trace_hits(f, lc, -2)
         if (2 + 2 * z0) % 4 or (2 + 2 * (q - 1 - z0)) % 4 == 0:
             return False
         s = f.code(char2_sqrt(f.from_code(lc)))
@@ -194,34 +207,17 @@ def verify_char2_prop(n, cap=None):
 
 
 def verify_odd_intersection(n, cap=None):
-    """|{x : Tr(x) = Tr(sqrt(lambda)/x)}| is odd for every lambda; the
-    scan walks exponents of a generator so each test is one shifted
-    lookup."""
+    """|{x : Tr(x) = Tr(sqrt(lambda)/x)}| is odd for every lambda, by
+    `_trace_hits`."""
     f = make_field(2, n)
     q = f.q
     check_cap(q, cap, "sweep", f)
-    if q == 2:
-        return True  # single lambda, single x
-    exp, log = f._explog()
-    tr = f._trace_codes()
-    m = q - 1
-    half = (m + 1) // 2  # doubling exponents inverts to this multiplier
-    bits = 0
-    for k in range(m):
-        bits |= tr[exp[k]] << k
-    rev = 0
-    for j in range(m):
-        rev |= ((bits >> (m - 1 - j)) & 1) << j
-    mask = (1 << m) - 1
+    mul = f._mul_func()
     for lc in range(1, q):
-        ls = log[f.code(char2_sqrt(f.from_code(lc)))]
-        if ls != log[lc] * half % m:
-            raise RuntimeError("square-root exponent mismatch in the scan")
-        # hits(lambda) = |{k : bits[k] == bits[(ls - k) mod m]}|, realized
-        # as a rotation of the reversed sequence
-        r = (m - 1 - ls) % m
-        rot = ((rev >> r) | (rev << (m - r))) & mask
-        if (m - (bits ^ rot).bit_count()) % 2 == 0:
+        s = f.code(char2_sqrt(f.from_code(lc)))
+        if mul(s, s) != lc:
+            raise RuntimeError("a char-2 square root does not square back")
+        if _trace_hits(f, s, -1) % 2 == 0:
             return False
     return True
 
@@ -239,7 +235,7 @@ def frobenius_image_check(lam, cap=None):
     n1 = char2_count(Char2Curve(f, 0, lam * lam), cap)
     # Tr(x + lambda/x) = 0 exactly when Tr(x) = Tr(lambda * x^-1)
     lc = f.code(lam)
-    n2 = 2 + 2 * _trace_hits(f, lc, f._inv_codes())
+    n2 = 2 + 2 * _trace_hits(f, lc, -1)
     if q <= _LITERAL_CAP and 1 + _literal_image_count(lam) != n2:
         raise RuntimeError(
             f"trace and literal counts disagree on the image model "

@@ -149,7 +149,8 @@ class Curve:
     def add(self, p1, p2):
         if not (self.contains(p1) and self.contains(p2)):
             raise ValueError("point is not on the curve")
-        return self._add(p1, p2)
+        return self._from_monic(
+            _fe_law(self)(self._to_monic(p1), self._to_monic(p2)))
 
     def _to_monic(self, point):
         """The (d*x, d^2*y) pair of a point on the monic model, None for
@@ -168,13 +169,6 @@ class Curve:
             return Point(*pair)
         e = self.delta.inv()
         return Point(e * pair[0], e * e * pair[1])
-
-    def _add(self, p1, p2):
-        if (not p1.is_infinity and not p2.is_infinity and p1.x == p2.x
-                and p1.y != p2.y and p1.y != -p2.y):
-            raise RuntimeError("impossible point pair; inputs off-curve?")
-        return self._from_monic(
-            _fe_law(self)(self._to_monic(p1), self._to_monic(p2)))
 
     def multiply(self, point, k):
         if not self.contains(point):
@@ -912,13 +906,16 @@ def verify_four_torsion_equivalence(field, cap=None):
     (b) -1, lambda and 1 - lambda are all squares;
     (c) exactly 16 rational points are killed by 4.
 
-    When they fail, every nonsquare twist must still be isomorphic to
-    some Legendre curve.
+    The count behind (c) must also be 4(1 + h), h the number of roots g
+    whose two differences g - g' are squares: (g, 0) is then a double,
+    with 4 halves.  When (a)-(c) fail, every nonsquare twist must still
+    be isomorphic to some Legendre curve.
     """
     f = field
     q = f.q
     failures = []
     table = legendre_count_table(f, cap)
+    chi = f._chi_codes()
     excluded = {f.code(f(v)) for v in (0, 1, -1, 2)}
     two = f(2)
     excluded.add(f.code(two.inv()))
@@ -936,7 +933,14 @@ def verify_four_torsion_equivalence(field, cap=None):
                 a = False
                 break
         b = full_four_torsion_rational(e)
-        c = count_four_torsion(e, cap) == 16
+        count = count_four_torsion(e, cap)
+        h = sum(all(chi[f.code(g - g2)] == 1 for g2 in e.roots if g2 != g)
+                for g in e.roots)
+        if count != 4 * (1 + h):
+            failures.append(
+                f"q={q} lambda={lamc}: {count} points killed by 4, not "
+                f"4(1 + {h}) from the halvable 2-torsion")
+        c = count == 16
         if not (a == b == c):
             failures.append(
                 f"q={q} lambda={lamc}: orbit-isomorphism={a}, "

@@ -507,21 +507,18 @@ class Field:
         return self._get("sqrt_codes", build)
 
     def _trace_codes(self):
-        """Absolute trace to F_2, as a 0/1 list; characteristic 2 only."""
+        """Absolute trace to F_2, as a 0/1 list; characteristic 2 only.
+        The trace is F_2-linear, so the table is the XOR span of the n
+        basis traces Tr(t^i): the codes with bit i set repeat the codes
+        below 2^i, each XORed with Tr(t^i)."""
         def build():
             if self.p != 2:
                 raise ValueError("trace table is for characteristic 2")
-            exp, log = self._explog()
-            m = self.q - 1
-            out = [0] * self.q
-            for c in range(1, self.q):
-                acc = c
-                t = c
-                for _ in range(self.n - 1):
-                    t = exp[2 * log[t] % m] if t else 0
-                    acc ^= t
-                # acc is 0 or 1 here for a correct trace
-                out[c] = acc
+            self._check_cap()
+            out = [0]
+            for i in range(self.n):
+                t = trace2(self.from_code(1 << i))
+                out += [b ^ t for b in out]
             return out
         return self._get("trace_codes", build)
 

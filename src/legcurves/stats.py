@@ -106,10 +106,6 @@ def verify_stats(q, cap=None, aux_cap=DEFAULT_AUX_CAP):
         if rec.triple_count != q * q:
             failures.append(
                 f"q={q}: enumerated solution triples {rec.triple_count} != q^2")
-        if rec.triple_count != 2 * q + q * (q - 2):
-            failures.append(
-                f"q={q}: triple count fails the fiber-wise tally "
-                f"2q + q(q-2)")
         if rec.nodal_at_zero != q - sign:
             failures.append(
                 f"q={q}: nodal cubic at 0 has {rec.nodal_at_zero} points, "

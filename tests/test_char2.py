@@ -7,6 +7,7 @@ from legcurves.char2 import (
     Char2Curve,
     _literal_affine_count,
     _literal_image_count,
+    _trace_hits,
     char2_count,
     char2_is_isomorphic,
     char2_sqrt,
@@ -46,6 +47,27 @@ def nested_loop_count(field, rhs):
             if y * y + x * y == r:
                 total += 1
     return total
+
+
+def per_x_hits(field, c, e):
+    """Oracle: |{x != 0 : Tr(x) = Tr(c * x^e)}| by a loop over every x
+    on the code tables, no exponent rotation."""
+    tr, mul, inv = (field._trace_codes(), field._mul_func(),
+                    field._inv_codes())
+    hits = 0
+    for x in range(1, field.q):
+        w = inv[x] if e == -1 else mul(inv[x], inv[x])
+        hits += tr[x] == tr[mul(c, w)]
+    return hits
+
+
+class TestTraceHits:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_per_x_count(self, n):
+        f = make_field(2, n)
+        for e in (-1, -2):
+            for c in range(1, f.q):
+                assert _trace_hits(f, c, e) == per_x_hits(f, c, e), (c, e)
 
 
 class TestConstruction:

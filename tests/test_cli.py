@@ -225,6 +225,9 @@ GOLDEN_DIGESTS = [
      "310a8bcebaa8680e38640581bfe8114f69136d0ab1e20eca877a93b08052ce97"),
     ("supersingular --p-max 199", "csv",
      "611fdc54b32e822503d1643ce73a2eef74f6e1639f22293b0ebbe6429645b3db"),
+    # n = 9 is above char2._LITERAL_CAP: no literal scan backs the counts
+    ("char2 --n 9", "csv",
+     "9a341c22e8797dbe9e6bc76bd3282e0b8c63117b330cd5f70f5c1feaed67864f"),
 ]
 
 

@@ -480,7 +480,7 @@ class TestGroupLaw:
                              ids=lambda f: f"q{f.q}")
     def test_code_law_matches_fe_law(self, field):
         # the integer-code law on the monic model and the public
-        # Curve._add against the Fe reference, on every ordered pair of
+        # Curve.add against the Fe reference, on every ordered pair of
         # points of each curve and of its twist by a non-square; every
         # monic curve up to q = 9, a seeded sample of 4 above
         def code(pt, d):
@@ -502,7 +502,7 @@ class TestGroupLaw:
                 for p1, p2 in itertools.product(pts, pts):
                     want = fe_chord_tangent(e, p1, p2)
                     assert eadd(code(p1, d), code(p2, d)) == code(want, d)
-                    assert e._add(p1, p2) == want
+                    assert e.add(p1, p2) == want
 
     @pytest.mark.parametrize("p,n", [(3, 13), (1048573, 2)],
                              ids=["q3^13", "q1048573^2"])
@@ -531,12 +531,6 @@ class TestGroupLaw:
         assert (e.add(e.add(P, T0), multiples[2])
                 == e.add(P, e.add(T0, multiples[2])))
         assert field._tab == {}
-
-    def test_impossible_pair_rejected(self):
-        e = legendre(F5, 2)
-        p = Point(F5(3), F5(1))
-        with pytest.raises(RuntimeError, match="impossible point pair"):
-            e._add(p, Point(F5(3), F5(2)))
 
     @pytest.mark.parametrize("field", [F3, F5, F7, F9, F11, F13],
                              ids=lambda f: f"q{f.q}")
@@ -891,13 +885,19 @@ class TestFourTorsion:
 
     @pytest.mark.parametrize("q", odd_prime_powers(121))
     def test_code_count_matches_fe_count(self, q):
-        # every Legendre curve and its twist by the first non-square
+        # every Legendre curve and its twist by the first non-square;
+        # on the curve itself the count is also 4(1 + h), h the roots
+        # whose two differences are squares
         field = field_of_order(q)
+        chi = field._chi_codes()
         d0 = field.from_code(curve_module._first_nonsquare_code(field))
         for lamc in legendre_count_table(field):
             e = legendre(field, field.from_code(lamc))
             for c in (e, twist(e, d0)):
                 assert count_four_torsion(c) == fe_count_four_torsion(c), c
+            h = sum(all(chi[field.code(g - g2)] == 1
+                        for g2 in e.roots if g2 != g) for g in e.roots)
+            assert count_four_torsion(e) == 4 * (1 + h), e
 
     @pytest.mark.parametrize("field", [F5, F7, F9, F13, F25],
                              ids=lambda f: f"q{f.q}")
@@ -912,6 +912,16 @@ class TestFourTorsion:
         monkeypatch.setattr(curve_module, "_double_x_codes",
                             half_denominator_map)
         assert verify_four_torsion_equivalence(field_of_order(q))
+
+    # fields where it flips no verdict, so only the 4(1 + h) value check
+    # sees the wrong counts
+    @pytest.mark.parametrize("q", [9, 11, 17, 19, 27], ids=lambda q: f"q{q}")
+    def test_value_check_catches_a_wrong_doubling_map(self, q, monkeypatch):
+        monkeypatch.setattr(curve_module, "_double_x_codes",
+                            half_denominator_map)
+        failures = verify_four_torsion_equivalence(field_of_order(q))
+        assert failures
+        assert all("points killed by 4, not 4(1 + " in m for m in failures)
 
 
 class TestTwoIsogeny:

@@ -1,15 +1,18 @@
-"""Source hygiene: every module of the package uses what it imports."""
+"""Source hygiene: every module of the package uses what it imports,
+and the code names its docs cite exist."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import legcurves
 
-MODULES = sorted(p for p in Path(legcurves.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(legcurves.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def unused_imports(path):
@@ -42,8 +45,8 @@ def _reads(node):
 def test_no_uncalled_private_functions():
     # every module-level _private function is read somewhere in the
     # package outside its own def
-    tops = [node for path in sorted(Path(legcurves.__file__).parent.glob(
-        "*.py")) for node in ast.parse(path.read_text()).body]
+    tops = [node for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body]
     reads = [(node, _reads(node)) for node in tops]
     private = [node.name for node in tops
                if isinstance(node, ast.FunctionDef)
@@ -90,3 +93,54 @@ def test_every_traced_entry_point_exists():
         assert attr in cls(name).__dict__, f"{name}.{attr}"
     for attr in fe_ops:
         assert attr in cls("Fe").__dict__, f"Fe.{attr}"
+
+
+def _cited_names():
+    """(where, module, name) for every backticked code name in README.md
+    and in the package's docstrings.  A dotted name is cited from the
+    package root (`char2._trace_hits`, `Curve.add`); a bare private name
+    in a docstring (`_fiber_sum`) from the module the docstring is in."""
+    texts = [("README.md", None, README.read_text())]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    where = f"{path.name}:{getattr(node, 'name', 'module')}"
+                    texts.append((where, path.stem, doc))
+    for where, module, text in texts:
+        for quoted in re.findall(r"`([^`\n]+)`", text):
+            name = re.match(r"[A-Za-z_]\w*(\.\w+)*", quoted)
+            if name and "." in name[0]:
+                yield where, None, name[0]
+            elif name and module and name[0].startswith("_"):
+                yield where, module, name[0]
+
+
+def _resolves(module, name):
+    """Whether the cited name exists; None when it is not a package
+    name (`itertools.combinations`, `pyproject.toml`)."""
+    if module is not None:
+        return hasattr(importlib.import_module("legcurves." + module), name)
+    head, *rest = name.split(".")
+    if rest == ["py"]:
+        return (PACKAGE / name).exists() or None
+    if (PACKAGE / f"{head}.py").exists():
+        obj = importlib.import_module("legcurves." + head)
+    elif hasattr(legcurves, head):
+        obj = getattr(legcurves, head)
+    else:
+        return None
+    for attr in rest:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_docs_cite_existing_code_names():
+    cited = list(_cited_names())
+    checked = [(where, module, name) for where, module, name in cited
+               if _resolves(module, name) is not None]
+    assert len(checked) > 20
+    assert [c for c in checked if not _resolves(c[1], c[2])] == []
