@@ -5,14 +5,14 @@ lambda with lambda != 0 (ordinary, j = 1/lambda).  Counting is a trace
 computation: dividing the equation at nonzero x by x^2 turns the fiber
 into an Artin-Schreier condition, so each x contributes 2 points when
 Tr(x + beta + lambda/x^2) vanishes and 0 otherwise, with one point at
-x = 0 and one at infinity.  The count is divisible by 4 exactly on the
-beta-trace-zero class, which is the twist classification.  Every trace
-count is one kernel, `_trace_hits`: |{x != 0 : Tr(x) = Tr(c * x^e)}| for
-e in {-1, -2}, one rotation of the m-sequence Tr(g^k) of a generator g
-compared bitwise with Tr(g^(e*k)).  Wherever the field is small enough
-(q <= _LITERAL_CAP) a literal count backs the trace route on every
-call: `_fiber_sum` reads a per-field fiber table,
-fib[x][v] = |{y : y^2 + xy = v}|, built once by full (x, y) enumeration.
+x = 0 and one at infinity; 4 | count exactly on the beta-trace-zero
+class, the twist classification.  Trace and square root are F_2-linear,
+so n basis images per field fix each (`Field._trace_mask`, `_sqrt_code`).
+Every trace count is one kernel, `_trace_hits`: one rotation of the
+m-sequence Tr(g^k) of a generator g compared bitwise with Tr(g^-k).
+Wherever q <= _LITERAL_CAP a literal count backs the trace route on
+every call: `_fiber_sum` reads a per-field fiber table, fib[x][v] =
+|{y : y^2 + xy = v}|, built once by full (x, y) enumeration.
 """
 
 from __future__ import annotations
@@ -52,11 +52,26 @@ class Char2Curve:
                 f"lam={self.lam.coeffs})")
 
 
+def _sqrt_code(f, c):
+    """The code of sqrt(c): squaring is F_2-linear, so the root is the XOR
+    of sqrt(t)^i over the bits i set in c, n codes kept by `Field._get`."""
+    def build():
+        s = f.from_code(min(2, f.q - 1)) ** (f.q // 2)  # sqrt(t); 1 in GF(2)
+        powers = [f.one]
+        while len(powers) < f.n:
+            powers.append(powers[-1] * s)
+        return [f.code(a) for a in powers]
+    r = 0
+    for i, image in enumerate(f._get("sqrt_images", build)):
+        r ^= image * (c >> i & 1)
+    return r
+
+
 def char2_sqrt(a):
     """The unique square root: squaring is a field automorphism."""
     if a.field.p != 2:
         raise ValueError("use the quadratic-character root in odd characteristic")
-    return a ** (a.field.q // 2) if a.field.q > 2 else a
+    return a.field.from_code(_sqrt_code(a.field, a.field.code(a)))
 
 
 def fourth_root(a):
@@ -105,27 +120,27 @@ def _literal_image_count(lam):
 
 def _trace_bits(f, e):
     """Tr(g^(e*k)) for k < q - 1 (the m-sequence of the generator g,
-    decimated by e) as one int, bit k the k-th term; kept by
+    decimated by e = 1 or -1) as one int, bit k the k-th term; kept by
     `Field._get` as a one-entry list."""
     def build():
         exp, _ = f._explog()
-        tr = f._trace_codes()
+        mask = f._trace_mask()
         m = f.q - 1
-        return [int("".join([str(tr[exp[e * k % m]])
+        return [int("".join([str((exp[e * k % m] & mask).bit_count() & 1)
                              for k in range(m - 1, -1, -1)]), 2)]
     return f._get(f"trace_bits{e}", build)[0]
 
 
 def _trace_hits(f, c, e):
     """|{x != 0 : Tr(x) = Tr(c * x^e)}| for e in {-1, -2}, the one trace
-    count.  Put c = g^l and x = g^(u - s) with s = l / e mod q - 1 (e is
-    a unit: q - 1 is odd); then c * x^e = g^(e*u), so the count is the
-    number of bits where Tr(g^k), rotated by s, agrees with Tr(g^(e*k))."""
+    count.  With c = g^l, x = g^(u - s) and s = l / e mod q - 1 (q - 1 is
+    odd), Tr(c * x^e) = Tr(g^(e*u)) = Tr(g^-u) as Tr(x^2) = Tr(x): count
+    the bits where Tr(g^k), rotated by s, agrees with Tr(g^-k)."""
     m = f.q - 1
     s = f._explog()[1][c] * pow(e, -1, m) % m
     t = _trace_bits(f, 1)
     rot = ((t << s) | (t >> (m - s))) & ((1 << m) - 1)
-    return m - (rot ^ _trace_bits(f, e)).bit_count()
+    return m - (rot ^ _trace_bits(f, -1)).bit_count()
 
 
 def char2_count(curve, cap=None):
@@ -136,7 +151,7 @@ def char2_count(curve, cap=None):
     q = f.q
     check_cap(q, cap, "counting", f)
     z = _trace_hits(f, f.code(curve.lam), -2)
-    if f._trace_codes()[f.code(curve.beta)]:
+    if trace2(curve.beta):
         z = q - 1 - z
     n = 2 + 2 * z
     if q <= _LITERAL_CAP:
@@ -169,7 +184,8 @@ def verify_char2_prop(n, cap=None):
     (i) every beta of trace 0 (the E_lambda class) gives 4 | count;
     (ii) every beta of trace 1 gives count = 2 mod 4;
     (iii) x -> sqrt(lambda)/x has exactly one fixed point in F^*, which
-    makes the trace intersection count odd.
+    makes the trace intersection count odd: sqrt(sqrt(lambda)) is one,
+    the only one once every lambda has a root (squaring is then onto F^*).
 
     Both trace classes are counted per lambda (the fiber condition
     depends on beta only through its trace, which (i)/(ii) exercise for
@@ -178,16 +194,16 @@ def verify_char2_prop(n, cap=None):
     f = make_field(2, n)
     q = f.q
     check_cap(q, cap, "sweep", f)
-    tr = f._trace_codes()
+    mask = f._trace_mask()
     mul = f._mul_func()
     for lc in range(1, q):
         # the counts 2 + 2z of the two beta classes: (i) and (ii)
         z0 = _trace_hits(f, lc, -2)
         if (2 + 2 * z0) % 4 or (2 + 2 * (q - 1 - z0)) % 4 == 0:
             return False
-        s = f.code(char2_sqrt(f.from_code(lc)))
-        fixed = [x for x in range(1, q) if mul(x, x) == s]
-        if len(fixed) != 1 or fixed[0] != f.code(fourth_root(f.from_code(lc))):
+        s = _sqrt_code(f, lc)
+        x = _sqrt_code(f, s)
+        if mul(s, s) != lc or mul(x, x) != s:
             return False
     if q <= 64:
         # literal per-(beta, lambda) sweep, including the twist sum
@@ -197,11 +213,12 @@ def verify_char2_prop(n, cap=None):
             for bc in range(q):
                 e = Char2Curve(f, f.from_code(bc), lam)
                 counts[bc] = char2_count(e, cap)
-                if (counts[bc] % 4 == 0) != (tr[bc] == 0):
+                if (counts[bc] % 4 == 0) != ((bc & mask).bit_count() % 2 == 0):
                     return False
             for bc in range(q):
                 for ac in range(1, q):
-                    if tr[ac] == 1 and counts[bc] + counts[bc ^ ac] != 2 * q + 2:
+                    if ((ac & mask).bit_count() % 2
+                            and counts[bc] + counts[bc ^ ac] != 2 * q + 2):
                         return False
     return True
 
@@ -214,7 +231,7 @@ def verify_odd_intersection(n, cap=None):
     check_cap(q, cap, "sweep", f)
     mul = f._mul_func()
     for lc in range(1, q):
-        s = f.code(char2_sqrt(f.from_code(lc)))
+        s = _sqrt_code(f, lc)
         if mul(s, s) != lc:
             raise RuntimeError("a char-2 square root does not square back")
         if _trace_hits(f, s, -1) % 2 == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -250,8 +251,8 @@ def _emit(text, out):
 
 
 # ---------------------------------------------------------------------------
-# verify-all: the acceptance suites.  Each suite returns a list of
-# failure strings; empty means the suite passed.
+# verify-all: the acceptance suites, each timed on stderr.  Each returns a
+# list of failure strings; empty means the suite passed.
 
 def _odd_primes(limit):
     return [p for p in odd_prime_powers(limit) if field_of_order(p).n == 1]
@@ -470,11 +471,13 @@ def run_verify_all(scale, out=None):
     lines = []
     bad = 0
     for name, fn in ALL_SUITES:
+        start = time.perf_counter()
         try:
             failures = fn(scale)
         except Exception as exc:
             # a suite that raises is a failed suite; the others still run
             failures = [f"raised {type(exc).__name__}: {exc}"]
+        sys.stderr.write(f"{time.perf_counter() - start:.2f} s  {name}\n")
         if failures:
             bad += 1
             lines.append(f"FAIL {name}: {failures[0]}")

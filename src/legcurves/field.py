@@ -13,10 +13,10 @@ coefficient lists (`_pmulmod`, `_pdivmod`, `_ppowmod`, `_pgcd`,
 elements there, and `poly` runs the supersingularity polynomial on it.
 
 Fast lookup tables (discrete log, Zech logarithm, quadratic character,
-square roots), each of O(q) entries, are built lazily per field and
-shared by the sweep code in the sibling modules.  They are an
-implementation detail; the public surface is `Field`, `Fe` and the
-helper functions at the bottom.
+square roots), each of O(q) entries, and the n-bit trace mask of
+characteristic 2 are built lazily per field and shared by the sweep
+code in the sibling modules.  They are an implementation detail; the
+public surface is `Field`, `Fe` and the helper functions at the bottom.
 """
 
 from __future__ import annotations
@@ -506,21 +506,19 @@ class Field:
             return out
         return self._get("sqrt_codes", build)
 
-    def _trace_codes(self):
-        """Absolute trace to F_2, as a 0/1 list; characteristic 2 only.
-        The trace is F_2-linear, so the table is the XOR span of the n
-        basis traces Tr(t^i): the codes with bit i set repeat the codes
-        below 2^i, each XORed with Tr(t^i)."""
+    def _trace_mask(self):
+        """Tr(t^k) as bit k of one int; characteristic 2 only.  Tr(t^k) is
+        the k-th power sum p_k of the modulus's roots, and Newton's
+        identities mod 2 give p_k = e_1 p_(k-1) + ... + e_(k-1) p_1 + k e_k,
+        with e_j the coefficient of t^(n-j) and p_0 = n."""
         def build():
-            if self.p != 2:
-                raise ValueError("trace table is for characteristic 2")
-            self._check_cap()
-            out = [0]
-            for i in range(self.n):
-                t = trace2(self.from_code(1 << i))
-                out += [b ^ t for b in out]
-            return out
-        return self._get("trace_codes", build)
+            n, f = self.n, self.modulus
+            sums = [n % 2]
+            for k in range(1, n):
+                sums.append((k * f[n - k] + sum(f[n - j] * sums[k - j]
+                                                 for j in range(1, k))) % 2)
+            return [sum(b << k for k, b in enumerate(sums))]
+        return self._get("trace_mask", build)[0]
 
 
 class Fe:
@@ -803,17 +801,8 @@ def sqrt(a):
 
 
 def trace2(a):
-    """Absolute trace F_{2^n} -> F_2, returned as 0 or 1."""
+    """Absolute trace F_{2^n} -> F_2, 0 or 1: the parity of code & mask."""
     f = a.field
     if f.p != 2:
         raise ValueError("trace2 needs characteristic 2")
-    acc = a
-    t = a
-    for _ in range(f.n - 1):
-        t = t * t
-        acc = acc + t
-    if acc == f.zero:
-        return 0
-    if acc == f.one:
-        return 1
-    raise RuntimeError("trace landed outside the prime subfield")
+    return (f.code(a) & f._trace_mask()).bit_count() & 1

@@ -1,8 +1,12 @@
 """Characteristic-2 family: counts, twists, the involution, and the
 Frobenius image model."""
 
+import random
+from functools import lru_cache
+
 import pytest
 
+from legcurves import char2 as c2
 from legcurves.char2 import (
     Char2Curve,
     _literal_affine_count,
@@ -18,6 +22,7 @@ from legcurves.char2 import (
     verify_odd_intersection,
 )
 from legcurves.field import Field, make_field, trace2
+from test_field import squaring_trace
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -49,10 +54,16 @@ def nested_loop_count(field, rhs):
     return total
 
 
+@lru_cache(maxsize=None)
+def squaring_traces(field):
+    """Tr at every code by the repeated-squaring reference."""
+    return [squaring_trace(field.from_code(c)) for c in range(field.q)]
+
+
 def per_x_hits(field, c, e):
     """Oracle: |{x != 0 : Tr(x) = Tr(c * x^e)}| by a loop over every x
     on the code tables, no exponent rotation."""
-    tr, mul, inv = (field._trace_codes(), field._mul_func(),
+    tr, mul, inv = (squaring_traces(field), field._mul_func(),
                     field._inv_codes())
     hits = 0
     for x in range(1, field.q):
@@ -158,7 +169,8 @@ class TestCount:
     ], ids=["count", "image"])
     def test_corrupt_trace_table_is_caught(self, check):
         f = Field(2, 6)  # fresh, so the interned GF(2^6) keeps good tables
-        f._trace_codes()[5] ^= 1
+        f._trace_mask()
+        f._tab["trace_mask"][0] ^= 1    # Tr(1) flips
         raised = 0
         for lc in range(1, f.q):
             try:
@@ -221,11 +233,19 @@ class TestTwist:
 
 class TestInvolution:
     def test_sqrt_squares_back(self):
-        f32 = make_field(2, 5)
-        for c in range(32):
-            a = f32.from_code(c)
-            s = char2_sqrt(a)
-            assert s * s == a
+        for n in range(1, 13):
+            f = make_field(2, n)
+            for c in range(f.q):
+                a = f.from_code(c)
+                assert char2_sqrt(a) ** 2 == a, (n, c)
+
+    @pytest.mark.parametrize("n", [40, 63])
+    def test_sqrt_squares_back_above_the_cap(self, n):
+        f = make_field(2, n)
+        rng = random.Random(n)
+        for _ in range(200):
+            a = f.from_code(rng.randrange(f.q))
+            assert char2_sqrt(a) ** 2 == a
 
     def test_sqrt_rejects_odd_characteristic(self):
         f5 = make_field(5)
@@ -240,6 +260,15 @@ class TestInvolution:
             fixed = [c for c in range(1, 16)
                      if (x := F16.from_code(c)) * x == s]
             assert fixed == [F16.code(fourth_root(lam))]
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_wrong_root_at_one_lambda_is_caught(self, monkeypatch, n):
+        real = c2._sqrt_code
+        monkeypatch.setattr(c2, "_sqrt_code",
+                            lambda f, c: real(f, c) ^ (c == 5))
+        assert not verify_char2_prop(n)
+        with pytest.raises(RuntimeError, match="does not square back"):
+            verify_odd_intersection(n)
 
     def test_fourth_root_inverts_fourth_power(self):
         for c in range(16):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +229,9 @@ GOLDEN_DIGESTS = [
     # n = 9 is above char2._LITERAL_CAP: no literal scan backs the counts
     ("char2 --n 9", "csv",
      "9a341c22e8797dbe9e6bc76bd3282e0b8c63117b330cd5f70f5c1feaed67864f"),
+    # Tr(1) = 1 for odd n: every count is 2 mod 4, the q - 1 - z branch
+    ("char2 --n 9 --beta 1", "csv",
+     "7909bde6ae86dd53fc5593d03abe7ed84d81a572ef9c5e0718a905243ce2dbf2"),
 ]
 
 
@@ -277,6 +281,17 @@ class TestVerifyAll:
         out = capsys.readouterr().out
         assert "10/10 suites passed" in out
         assert "FAIL" not in out
+
+    def test_suite_times_go_to_stderr_in_suite_order(self, capsys):
+        assert run_main(["verify-all", "--scale", "smoke"]) == 0
+        captured = capsys.readouterr()
+        names = [name for name, _ in cli.ALL_SUITES]
+        assert captured.out.splitlines() == (
+            [f"ok   {name}" for name in names] + ["10/10 suites passed"])
+        timed = [re.fullmatch(r"(\d+\.\d\d) s  (.+)", line)
+                 for line in captured.err.splitlines()]
+        assert len(timed) == 10 and all(timed), captured.err
+        assert [m[2] for m in timed] == names
 
     def test_failure_exits_one(self, monkeypatch, capsys):
         fake = (("always fine", lambda scale: []),

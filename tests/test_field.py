@@ -282,6 +282,17 @@ def test_generator_is_not_an_eighth_power_in_f49():
     assert len({a ** 8 for a in f.elements() if a}) == 6
 
 
+def squaring_trace(a):
+    """Reference trace: a + a^2 + ... + a^(2^(n-1)) by repeated Fe
+    squaring, which must land on 0 or 1."""
+    acc = t = a
+    for _ in range(a.field.n - 1):
+        t = t * t
+        acc = acc + t
+    assert acc in (a.field.zero, a.field.one)
+    return int(acc == a.field.one)
+
+
 def test_trace2_frozen():
     f2 = make_field(2)
     assert trace2(f2(1)) == 1
@@ -307,14 +318,21 @@ def test_trace2_linearity_exhaustive(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_trace2_zero_count(n):
-    f = Field(2, n)  # fresh, so the table is built here
-    tr = f._trace_codes()
+    f = Field(2, n)  # fresh, so the trace mask is built here
+    tr = [trace2(f.from_code(c)) for c in range(f.q)]
     assert tr.count(0) == 2 ** (n - 1)
-    assert set(tr) <= {0, 1}
-    # the table, built from the n basis traces without discrete logs,
-    # agrees with the repeated-squaring definition at every code
+    # the mask, built from the modulus without discrete logs, agrees
+    # with the repeated-squaring definition at every code
     assert "explog" not in f._tab
-    assert tr == [trace2(f.from_code(c)) for c in range(f.q)]
+    assert tr == [squaring_trace(f.from_code(c)) for c in range(f.q)]
+
+
+@pytest.mark.parametrize("n", [20, 40, 63])
+def test_trace2_basis_above_the_cap(n):
+    f = make_field(2, n)
+    for i in range(n):
+        a = f.from_code(1 << i)
+        assert trace2(a) == squaring_trace(a), i
 
 
 def test_field_of_order():

@@ -43,18 +43,21 @@ def _reads(node):
 
 
 def test_no_uncalled_private_functions():
-    # every module-level _private function is read somewhere in the
-    # package outside its own def
-    tops = [node for path in sorted(PACKAGE.glob("*.py"))
-            for node in ast.parse(path.read_text()).body]
-    reads = [(node, _reads(node)) for node in tops]
-    private = [node.name for node in tops
+    # every _private function, at module level or a method of a class,
+    # is read somewhere in the package outside its own def
+    units = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            units.extend(node.body if isinstance(node, ast.ClassDef)
+                         else [node])
+    reads = [(node, _reads(node)) for node in units]
+    private = [node for node in units
                if isinstance(node, ast.FunctionDef)
                and node.name.startswith("_") and not node.name.endswith("__")]
     assert private
-    unread = [name for name in private
-              if not any(name in names for node, names in reads
-                         if getattr(node, "name", None) != name)]
+    unread = [fn.name for fn in private
+              if not any(fn.name in names for node, names in reads
+                         if node is not fn)]
     assert unread == []
 
 
