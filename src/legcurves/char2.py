@@ -102,12 +102,16 @@ def _fiber_sum(f, rhs):
 
 
 def _literal_affine_count(curve):
-    """Affine points of the curve, by `_fiber_sum`."""
+    """Affine points of the curve, by `_fiber_sum`: x^2 (x + beta) is
+    kept per (field, beta) by `Field._get`, and lambda XORs in per curve."""
     f = curve.field
-    mul = f._mul_func()
     bc = f.code(curve.beta)
-    lc = f.code(curve.lam)
-    return _fiber_sum(f, [mul(mul(x, x), x ^ bc) ^ lc for x in range(f.q)])
+
+    def build():
+        mul = f._mul_func()
+        return [mul(mul(x, x), x ^ bc) for x in range(f.q)]
+    rhs = f._get(f"literal_cubic{bc}", build)
+    return _fiber_sum(f, map(f.code(curve.lam).__xor__, rhs))
 
 
 def _literal_image_count(lam):

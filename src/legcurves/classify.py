@@ -5,16 +5,22 @@ exactly when 4 | N, minus one exception for square q, where r denotes
 the square root of q normalized to r = 1 mod 4 and N = (r+1)^2 is
 attained by elliptic curves over F_q but never by a Legendre curve.
 
-The verification oracle enumerates every elliptic curve over F_q (not
-only those with rational 2-torsion) through short Weierstrass sweeps,
-with a dedicated pair of families in characteristic 3 where the x^2
-term cannot be completed away.
+The verification oracle reaches every elliptic curve over F_q (not
+only those with rational 2-torsion) through Weierstrass families
+y^2 = g(x) + b, one per scaling class of the remaining coefficient:
+(x, y) -> (u^2 x, u^3 y) keeps the count and moves that coefficient
+within its coset of the fourth powers (of the squares for the x^2 term
+of characteristic 3, which cannot be completed away).  So at most six
+families cover the field, each counted by one character-sum product,
+and the sweep has no early exit.  Its attained set is checked against
+the closed form of Waterhouse's theorem (`_waterhouse_counts`), so the
+class reduction is never its own oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import isqrt
+from math import gcd, isqrt
 
 from .curve import _chi_shift_sums, legendre_count_table
 from .field import field_of_order
@@ -68,48 +74,77 @@ class ClassRecord:
     attained: bool = False
 
 
-def _attained_counts(f, cap=None):
-    """Set of point counts realized by elliptic curves over F_q, by
-    enumeration with early exit once every interval value has shown up.
+def _scaling_classes(f):
+    """(a2, a4) codes, one family y^2 = x^3 + a2*x^2 + a4*x + b per
+    scaling class: (x, y) -> (u^2 x, u^3 y) takes (a2, a4, b) to
+    (u^2 a2, u^4 a4, u^6 b), so one a per coset of the squares (a2) or
+    fourth powers (a4) suffices.  F_q^* is cyclic, so for any non-square
+    s the powers s^i, i < gcd(4, q - 1), represent those cosets.  For
+    p >= 5 a2 is completed away and a4 = 0 is one more class; in
+    characteristic 3 both a2 != 0 = a4 and a4 != 0 = a2 are swept."""
+    mul = f._mul_func()
+    s = f._chi_codes().index(-1)
+    reps = [1, s, mul(s, s), mul(mul(s, s), s)][:gcd(4, f.q - 1)]
+    if f.p >= 5:
+        return [(0, a) for a in [0] + reps]
+    return [(a, 0) for a in reps[:2]] + [(0, a) for a in reps]
 
-    The curves come in families y^2 = g(x) + b.  With H the histogram of
-    g's values, the character sum of each b is sum over v of
-    H[v] * chi(v + b), so one `_chi_shift_sums` call counts a family."""
-    q = f.q
-    lo, hi = hasse_interval(q)
-    remaining = set(range(lo, hi + 1))
+
+def _attained_counts(f):
+    """Set of point counts realized by elliptic curves over F_q: each
+    family of `_scaling_classes` with every b that keeps the curve
+    nonsingular, so at most 6 families and no early exit.
+
+    With H the histogram of g(x) = x^3 + a2*x^2 + a4*x, the character
+    sum of each b is sum over v of H[v] * chi(v + b), so one
+    `_chi_shift_sums` call counts a family."""
+    q, p = f.q, f.p
     add = f._add_func()
     mul = f._mul_func()
-    xs = range(q)
-
-    def families():
-        # (g, bs): the curves y^2 = g(x) + b for b in bs
-        if f.p >= 5:
-            # y^2 = x^3 + a*x + b, discriminant 4a^3 + 27b^2 != 0
-            c4, c27 = f.code(f(4)), f.code(f(27))
-            for a in range(q):
-                a3 = mul(c4, mul(a, mul(a, a)))
-                yield ([add(mul(mul(x, x), x), mul(a, x)) for x in xs],
-                       [b for b in range(q) if add(a3, mul(c27, mul(b, b)))])
-            return
-        # characteristic 3: the cube is additive, so the x^2 term cannot
-        # be removed; sweep y^2 = x^3 + a*x^2 + b (a, b != 0) for the
-        # curves with a quadratic term and y^2 = x^3 + a*x + b (a != 0)
-        # for the rest
-        for a in range(1, q):
-            yield [mul(mul(x, x), add(x, a)) for x in xs], range(1, q)
-        for a in range(1, q):
-            yield [add(mul(mul(x, x), x), mul(a, x)) for x in xs], range(q)
-
-    for g, bs in families():
+    neg = f._neg_codes()
+    cubes = [mul(mul(x, x), x) for x in range(q)]
+    # 4a^3 + 27b^2 = 0 exactly where 27b^2 equals -4a^3
+    b2 = [mul(27 % p, mul(b, b)) for b in range(q)]
+    attained = set()
+    for a2, a4 in _scaling_classes(f):
+        if a2:
+            # characteristic 3: singular exactly when b = 0
+            g = [add(c, mul(mul(x, x), a2)) for x, c in enumerate(cubes)]
+            singular = [0]
+        else:
+            g = [add(c, mul(a4, x)) for x, c in enumerate(cubes)]
+            d = neg[mul(4 % p, mul(a4, mul(a4, a4)))]
+            singular = [b for b, v in enumerate(b2) if v == d]
         hist = [0] * q
         for v in g:
             hist[v] += 1
         sums = _chi_shift_sums(f, hist)
-        remaining.difference_update([q + 1 + sums[b] for b in bs])
-        if not remaining:
-            break
-    return set(range(lo, hi + 1)) - remaining
+        attained.update([q + 1 + t for b, t in enumerate(sums)
+                         if b not in singular])
+    return attained
+
+
+def _waterhouse_counts(p, n):
+    """The counts q + 1 - t of elliptic curves over F_q, q = p^n with p
+    odd, in closed form (Waterhouse, "Abelian varieties over finite
+    fields", Ann. Sci. ENS 2 (1969), Thm 4.1): every t with t^2 <= 4q
+    and p not dividing t, plus these multiples of p:
+    t = +-2 sqrt(q) for even n, t = +-sqrt(q) for even n and
+    p != 1 mod 3, t = 0 for odd n or p != 1 mod 4, and
+    t = +-3^((n+1)/2) for odd n and p = 3."""
+    q = p ** n
+    r = isqrt(q)
+    if n % 2:
+        special = {0, 3 ** ((n + 1) // 2)} if p == 3 else {0}
+    else:
+        special = {2 * r}
+        if p % 3 != 1:
+            special.add(r)
+        if p % 4 != 1:
+            special.add(0)
+    bound = isqrt(4 * q)
+    return {q + 1 - t for t in range(-bound, bound + 1)
+            if t % p or abs(t) in special}
 
 
 def census(q, cap=None):
@@ -121,7 +156,7 @@ def census(q, cap=None):
     by_count = {}
     for code, n in table.items():
         by_count.setdefault(n, []).append(code)
-    attained = _attained_counts(f, cap)
+    attained = _attained_counts(f)
     sq = isqrt(q)
     exception = (normalized_r(q) + 1) ** 2 if sq * sq == q else None
     lo, hi = hasse_interval(q)
@@ -162,10 +197,19 @@ def census_summary(q, cap=None):
 def verify_isogeny_window(q, cap=None):
     """Check the classification, and `predict_legendre_isogenous` on
     every attained count, against the all-curves oracle and the Legendre
-    witnesses; returns a list of failure descriptions, empty when
+    witnesses, and the oracle's attained set against Waterhouse's
+    theorem; returns a list of failure descriptions, empty when
     everything matches."""
     failures = []
     records = census(q, cap)
+    f = field_of_order(q)
+    attained = {r.n for r in records if r.attained}
+    theorem = _waterhouse_counts(f.p, f.n)
+    if attained != theorem:
+        failures.append(
+            f"q={q}: the all-curves oracle attains {sorted(attained - theorem)}"
+            f" beyond Waterhouse's theorem and misses "
+            f"{sorted(theorem - attained)}")
     for rec in records:
         n = rec.n
         if rec.attained:

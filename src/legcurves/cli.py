@@ -259,7 +259,7 @@ def _odd_primes(limit):
 
 
 def suite_isogeny_window(scale="full"):
-    limit = 199 if scale == "full" else 49
+    limit = 729 if scale == "full" else 49
     failures = []
     for q in odd_prime_powers(limit):
         failures.extend(classify.verify_isogeny_window(q))

@@ -6,6 +6,7 @@ criteria are exact identities; the timed ones also enforce their
 wall-clock budgets.
 """
 
+import json
 import time
 
 from legcurves import classify, cli, stats, supersingular
@@ -34,7 +35,20 @@ def test_criterion_01_isogeny_window():
         witnessed = {r.n for r in records if r.legendre_witnesses}
         if divisible - removed != witnessed:
             failures.append(f"q={q}: set mismatch")
-    _gate(1, "isogeny window, q <= 199", failures, elapsed, 300)
+    _gate(1, "isogeny window, q <= 729", failures, elapsed, 300)
+
+
+def test_criterion_01_census_over_gf_3_7(tmp_path):
+    # GF(3^7): many counts are attained by no curve, so every class matters
+    out = tmp_path / "classify.json"
+    t0 = time.monotonic()
+    code = cli.main(["classify", "--q", "2187", "--out", str(out)])
+    elapsed = time.monotonic() - t0
+    failures = [] if code == 0 else [f"classify --q 2187 exited {code}"]
+    attained = {r["N"] for r in json.loads(out.read_text()) if r["attained"]}
+    if attained != classify._waterhouse_counts(3, 7):
+        failures.append("q=2187: attained set differs from Waterhouse's")
+    _gate(1, "census of GF(3^7) against Waterhouse", failures, elapsed, 2)
 
 
 def test_criterion_02_exceptional_counts():

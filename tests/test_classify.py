@@ -1,9 +1,12 @@
+from functools import lru_cache
+
 import pytest
 
-from legcurves import legendre, make_field, odd_prime_powers, twist
+from legcurves import classify, legendre, make_field, odd_prime_powers, twist
 from legcurves.classify import (
     EXCLUDED_EXCEPTION,
     _attained_counts,
+    _waterhouse_counts,
     EXCLUDED_NOT_DIV4,
     census,
     census_summary,
@@ -12,7 +15,30 @@ from legcurves.classify import (
     predict_legendre_isogenous,
     verify_isogeny_window,
 )
+from legcurves.curve import _chi_shift_sums
 from legcurves.field import field_of_order
+
+
+def every_a_families(f):
+    """(g, bs) for every a of the three curve families: the curves
+    y^2 = g(x) + b for b in bs, g as a list of codes over x."""
+    q = f.q
+    add = f._add_func()
+    mul = f._mul_func()
+    xs = range(q)
+    if f.p >= 5:
+        # y^2 = x^3 + a*x + b with 4a^3 + 27b^2 != 0
+        c4, c27 = f.code(f(4)), f.code(f(27))
+        for a in range(q):
+            a3 = mul(c4, mul(a, mul(a, a)))
+            yield ([add(mul(mul(x, x), x), mul(a, x)) for x in xs],
+                   [b for b in range(q) if add(a3, mul(c27, mul(b, b)))])
+        return
+    # y^2 = x^3 + a*x^2 + b (a, b != 0) and y^2 = x^3 + a*x + b (a != 0)
+    for a in range(1, q):
+        yield [mul(mul(x, x), add(x, a)) for x in xs], range(1, q)
+    for a in range(1, q):
+        yield [add(mul(mul(x, x), x), mul(a, x)) for x in xs], range(q)
 
 
 def literal_attained_counts(f):
@@ -24,31 +50,31 @@ def literal_attained_counts(f):
     remaining = set(range(lo, hi + 1))
     chi = f._chi_codes()
     add = f._add_func()
-    mul = f._mul_func()
-    xs = range(q)
-    families = []
-    if f.p >= 5:
-        # y^2 = x^3 + a*x + b with 4a^3 + 27b^2 != 0
-        c4, c27 = f.code(f(4)), f.code(f(27))
-        for a in range(q):
-            a3 = mul(c4, mul(a, mul(a, a)))
-            families.append(
-                ([add(mul(mul(x, x), x), mul(a, x)) for x in xs],
-                 [b for b in range(q) if add(a3, mul(c27, mul(b, b)))]))
-    else:
-        # y^2 = x^3 + a*x^2 + b (a, b != 0) and y^2 = x^3 + a*x + b (a != 0)
-        for a in range(1, q):
-            families.append(([mul(mul(x, x), add(x, a)) for x in xs],
-                             range(1, q)))
-        for a in range(1, q):
-            families.append(([add(mul(mul(x, x), x), mul(a, x)) for x in xs],
-                             range(q)))
-    for g, bs in families:
+    for g, bs in every_a_families(f):
         for b in bs:
             remaining.discard(q + 1 + sum(chi[add(v, b)] for v in g))
         if not remaining:
             break
     return set(range(lo, hi + 1)) - remaining
+
+
+@lru_cache(maxsize=None)
+def reference_attained_counts(q):
+    """The sweep that the scaling classes replace: every a of the three
+    curve families, each family one histogram and one `_chi_shift_sums`
+    call, stopping once the whole Hasse interval has shown up."""
+    f = field_of_order(q)
+    lo, hi = hasse_interval(q)
+    remaining = set(range(lo, hi + 1))
+    for g, bs in every_a_families(f):
+        hist = [0] * q
+        for v in g:
+            hist[v] += 1
+        sums = _chi_shift_sums(f, hist)
+        remaining.difference_update([q + 1 + sums[b] for b in bs])
+        if not remaining:
+            break
+    return frozenset(range(lo, hi + 1)) - remaining
 
 
 class TestNormalizedR:
@@ -171,6 +197,54 @@ class TestAttainedCounts:
     def test_matches_literal_families(self, q):
         f = field_of_order(q)
         assert _attained_counts(f) == literal_attained_counts(f)
+
+    @pytest.mark.parametrize("q", odd_prime_powers(250), ids=lambda q: f"q{q}")
+    def test_matches_every_a_reference(self, q):
+        assert _attained_counts(field_of_order(q)) == reference_attained_counts(q)
+
+    @pytest.mark.parametrize("q", [3, 5, 9, 13, 27, 81, 125, 2187])
+    def test_at_most_six_families(self, q, monkeypatch):
+        calls = []
+
+        def counting(f, w):
+            calls.append(f.q)
+            return _chi_shift_sums(f, w)
+        monkeypatch.setattr(classify, "_chi_shift_sums", counting)
+        _attained_counts(field_of_order(q))
+        # gcd(4, q - 1) + 1 families for p >= 5, 2 + gcd(4, q - 1) for p = 3
+        assert len(calls) == (6 if q % 4 == 1 else 4) - (q % 3 != 0)
+
+
+class TestWaterhouse:
+    @pytest.mark.parametrize("q", odd_prime_powers(250), ids=lambda q: f"q{q}")
+    def test_matches_every_a_reference(self, q):
+        f = field_of_order(q)
+        assert _waterhouse_counts(f.p, f.n) == reference_attained_counts(q)
+
+    def test_frozen_examples(self):
+        # F_9: t = 0, +-3, +-6 are the multiples of 3 (p = 3 != 1 mod 3, 4)
+        assert _waterhouse_counts(3, 2) == set(range(4, 17))
+        # F_25: t = +-5 stays as 5 = 2 mod 3, t = 0 goes as 5 = 1 mod 4
+        assert set(range(16, 37)) - _waterhouse_counts(5, 2) == {26}
+        # F_27: t = 0 and +-9 = +-3^((n+1)/2) stay, t = +-3 and +-6 go
+        assert set(range(18, 39)) - _waterhouse_counts(3, 3) == {
+            22, 25, 31, 34}
+
+    # Each mutant drops families from the class list.  The Legendre
+    # witnesses alone may not notice, so the Waterhouse check must.
+    @pytest.mark.parametrize("mutate", [
+        lambda classes: [c for c in classes if c != (0, 0)],
+        lambda classes: [c for c in classes if 1 not in c],
+        lambda classes: classes[:-1],
+    ], ids=["no-a-zero", "no-a-one", "no-last-coset"])
+    def test_dropped_family_is_caught(self, mutate, monkeypatch):
+        orig = classify._scaling_classes
+        monkeypatch.setattr(classify, "_scaling_classes",
+                            lambda f: mutate(orig(f)))
+        caught = [q for q in odd_prime_powers(400)
+                  if any("Waterhouse" in line
+                         for line in verify_isogeny_window(q))]
+        assert caught
 
 
 class TestIsogenyWindow:

@@ -232,6 +232,15 @@ GOLDEN_DIGESTS = [
     # Tr(1) = 1 for odd n: every count is 2 mod 4, the q - 1 - z branch
     ("char2 --n 9 --beta 1", "csv",
      "7909bde6ae86dd53fc5593d03abe7ed84d81a572ef9c5e0718a905243ce2dbf2"),
+    # extension fields where some Hasse-interval counts belong to no curve
+    ("census --q-max 200", "json",
+     "d1c7b1b243da422588acec0bce67a00e1f3c66a0511349946defac20cb0296ee"),
+    ("census --q-max 200", "csv",
+     "c2207f863c2d054e188bc7ba389030aa7cb9eb4ec3918f10306aa190ce473fdb"),
+    ("classify --q 343", "csv",
+     "0ff8ac2a07fa609f46f58e827b5fc741a991e9ff3edad70ea1af6c41d473e311"),
+    ("classify --q 625", "csv",
+     "ca9c02604111c418f69e733fe478712534b738364d14573b6bb41f59dfc7f5c4"),
 ]
 
 
