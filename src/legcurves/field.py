@@ -87,9 +87,10 @@ def prime_factors(n):
 # Bare coefficient-list arithmetic over Z/p, the one polynomial kernel.
 # It picks and checks the modulus, multiplies, inverts and powers `Fe`
 # elements of extension fields, builds the matrix that steps the exp
-# table, and `poly` runs deuring(p) and its factors on it.  Lists are constant-term first and results
-# carry no trailing zeros; `_pmulmod`, `_ppowmod` and `_pinvmod` also
-# take the zero-padded coefficient tuples of `Fe`.
+# table, and `poly` runs deuring(p) and its factors on it.  Lists are
+# constant-term first and results carry no trailing zeros; `_pmulmod`,
+# `_ppowmod` and `_pinvmod` also take the zero-padded coefficient tuples
+# of `Fe`.
 
 def _digits(code, p, n):
     """The n base-p digits of code, least significant first."""

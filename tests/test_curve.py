@@ -496,7 +496,7 @@ class TestGroupLaw:
             for dc in (1, nonsquare):
                 d = field.from_code(dc)
                 e = Curve(field, *map(field.from_code, roots), d)
-                monic = tuple(field.code(r) for r in e.monic_roots())
+                monic = e._monic_codes()
                 eadd = curve_module._chord_tangent(field, monic)
                 pts = e.points()
                 for p1, p2 in itertools.product(pts, pts):
@@ -707,7 +707,7 @@ class TestIsomorphism:
         assert e.group_structure() == tw.group_structure() == (2, 12)
         assert not is_isomorphic(e, tw)
 
-    @pytest.mark.parametrize("q", list(odd_prime_powers(27))[1:],
+    @pytest.mark.parametrize("q", list(odd_prime_powers(27))[1:] + [49, 81],
                              ids=lambda q: f"q{q}")
     def test_code_search_matches_fe_search(self, q):
         # random triples, half of them mapped from the first by a random
@@ -725,10 +725,28 @@ class TestIsomorphism:
                 rng.shuffle(roots2)
             else:
                 roots2 = [f.from_code(c) for c in rng.sample(range(q), 3)]
-            found = curve_module._root_transform_exists(f, roots1, roots2)
+            found = curve_module._root_transform_exists(
+                f, tuple(map(f.code, roots1)), tuple(map(f.code, roots2)))
             assert found == fe_root_transform_exists(f, roots1, roots2)
             seen.add(found)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11], ids=lambda q: f"q{q}")
+    def test_six_candidates_match_fe_search_on_every_pair(self, q):
+        # every pair of root triples, the second in a seeded random order
+        # since the candidates are built from its first two roots
+        f = field_of_order(q)
+        rng = random.Random(q)
+        triples = list(itertools.combinations(range(q), 3))
+        for codes1 in triples:
+            roots1 = [f.from_code(c) for c in codes1]
+            for codes2 in triples:
+                codes2 = rng.sample(codes2, 3)
+                want = fe_root_transform_exists(
+                    f, roots1, [f.from_code(c) for c in codes2])
+                got = curve_module._root_transform_exists(
+                    f, codes1, tuple(codes2))
+                assert got == want, (codes1, codes2)
 
     def test_legendre_membership_frozen_counterexample(self):
         # y^2 = x(x+2)(x-5) over F_13: none of +-2, +-5, +-7 is a square
@@ -975,6 +993,26 @@ class TestClassSizes:
     def test_frozen_partitions(self):
         assert isomorphism_classes(F7) == [[2, 4, 6], [3], [5]]
         assert isomorphism_classes(F11) == [[2, 6, 10], [3, 4, 7], [5, 8, 9]]
+
+    @pytest.mark.parametrize("q", list(odd_prime_powers(49)),
+                             ids=lambda q: f"q{q}")
+    def test_partition_matches_fe_search(self, q):
+        # the classes built from the Fe scan over every square scale,
+        # with no count filter, lambdas in lexicographic order
+        f = field_of_order(q)
+        classes = []
+        for lam in sorted(f.elements()):
+            if lam == f.zero or lam == f.one:
+                continue
+            roots = (f.zero, f.one, lam)
+            for cls in classes:
+                if fe_root_transform_exists(f, cls[0], roots):
+                    cls.append(roots)
+                    break
+            else:
+                classes.append([roots])
+        want = [[f.code(roots[2]) for roots in cls] for cls in classes]
+        assert isomorphism_classes(f) == want
 
     def test_singleton_classes_have_j_zero(self):
         for cls in isomorphism_classes(F7):

@@ -1,14 +1,20 @@
 """Field construction, arithmetic, characters, roots and enumeration."""
 
+import inspect
 import random
 
 import pytest
 
+import legcurves
 from legcurves import char2, classify, curve, stats
 from legcurves.cli import _field_axiom_failures
 from legcurves.curve import (
+    Curve,
     _first_nonsquare_code,
     count_four_torsion,
+    is_isomorphic,
+    is_legendre_isomorphic,
+    isomorphism_classes,
     legendre,
     legendre_count_table,
     verify_group_law,
@@ -142,35 +148,67 @@ def test_enumeration_order():
 
 F7 = make_field(7)
 F8 = make_field(2, 3)
-# (operation named in the message, q, call with a cap) for every entry
-# point that takes an enumeration cap
+# (operation named in the message, q, the capped callable, a call of it
+# with a cap) for every entry point that takes an enumeration cap
 CAPPED = [
-    ("enumeration", 7, lambda cap: F7.elements(cap)),
-    ("point enumeration", 7, lambda cap: legendre(F7, 3).points(cap)),
-    ("counting", 7, lambda cap: legendre(F7, 3).count_points(cap)),
-    ("group structure", 7, lambda cap: legendre(F7, 3).group_structure(cap)),
-    ("lambda sweep", 7, lambda cap: legendre_count_table(F7, cap)),
-    ("enumeration", 7, lambda cap: stats.auxiliary_counts(7, cap)),
-    ("counting", 8, lambda cap: char2.char2_count(
+    ("enumeration", 7, Field.elements, lambda cap: F7.elements(cap)),
+    ("point enumeration", 7, Curve.points,
+     lambda cap: legendre(F7, 3).points(cap)),
+    ("counting", 7, Curve.count_points,
+     lambda cap: legendre(F7, 3).count_points(cap)),
+    ("group structure", 7, Curve.group_structure,
+     lambda cap: legendre(F7, 3).group_structure(cap)),
+    ("lambda sweep", 7, legendre_count_table,
+     lambda cap: legendre_count_table(F7, cap)),
+    ("enumeration", 7, stats.auxiliary_counts,
+     lambda cap: stats.auxiliary_counts(7, cap)),
+    ("counting", 8, char2.char2_count, lambda cap: char2.char2_count(
         char2.Char2Curve(F8, 0, 1), cap)),
-    ("sweep", 8, lambda cap: char2.verify_char2_prop(3, cap)),
-    ("sweep", 8, lambda cap: char2.verify_odd_intersection(3, cap)),
-    ("counting", 8, lambda cap: char2.frobenius_image_check(F8(1), cap)),
-    ("point enumeration", 7,
+    ("sweep", 8, char2.verify_char2_prop,
+     lambda cap: char2.verify_char2_prop(3, cap)),
+    ("sweep", 8, char2.verify_odd_intersection,
+     lambda cap: char2.verify_odd_intersection(3, cap)),
+    ("counting", 8, char2.frobenius_image_check,
+     lambda cap: char2.frobenius_image_check(F8(1), cap)),
+    ("point enumeration", 7, count_four_torsion,
      lambda cap: count_four_torsion(legendre(F7, 3), cap)),
-    ("point enumeration", 7, lambda cap: verify_group_law(F7, cap=cap)),
+    ("point enumeration", 7, verify_group_law,
+     lambda cap: verify_group_law(F7, cap=cap)),
+    ("isomorphism test", 7, is_isomorphic,
+     lambda cap: is_isomorphic(legendre(F7, 3), legendre(F7, 5), cap)),
+    ("counting", 7, is_legendre_isomorphic,
+     lambda cap: is_legendre_isomorphic(legendre(F7, 3), cap)),
+    ("lambda sweep", 7, isomorphism_classes,
+     lambda cap: isomorphism_classes(F7, cap)),
 ]
 
 
-@pytest.mark.parametrize("what,q,call", CAPPED,
-                         ids=[f"{w}-q{q}-{i}" for i, (w, q, _) in
+@pytest.mark.parametrize("what,q,target,call", CAPPED,
+                         ids=[f"{w}-q{q}-{i}" for i, (w, q, _, _) in
                               enumerate(CAPPED)])
-def test_every_cap_site_raises_just_above_the_cap(what, q, call):
+def test_every_cap_site_raises_just_above_the_cap(what, q, target, call):
     call(q)
     with pytest.raises(EnumerationCapError,
                        match=f"^{what} over GF\\(.*\\) needs {q} elements, "
                              f"cap is {q - 1}$"):
         call(q - 1)
+
+
+def test_every_public_cap_parameter_has_a_capped_entry():
+    # every callable of legcurves.__all__, and every public method of
+    # its classes, that takes `cap` is exercised by CAPPED
+    taking_cap = []
+    for name in legcurves.__all__:
+        obj = getattr(legcurves, name)
+        members = [obj]
+        if inspect.isclass(obj):
+            members += [getattr(obj, m) for m in vars(obj)
+                        if not m.startswith("_")]
+        taking_cap += [m for m in members if inspect.isfunction(m)
+                       and "cap" in inspect.signature(m).parameters]
+    assert taking_cap
+    tested = [target for _, _, target, _ in CAPPED]
+    assert [m.__qualname__ for m in taking_cap if m not in tested] == []
 
 
 def test_codes_roundtrip():
