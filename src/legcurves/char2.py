@@ -182,7 +182,7 @@ def char2_is_isomorphic(curve1, curve2):
     return trace2(curve1.beta + curve2.beta) == 0
 
 
-def verify_char2_prop(n, cap=None):
+def verify_char2_prop(n):
     """Divisibility-by-4 classification over F_{2^n}:
 
     (i) every beta of trace 0 (the E_lambda class) gives 4 | count;
@@ -197,7 +197,6 @@ def verify_char2_prop(n, cap=None):
     """
     f = make_field(2, n)
     q = f.q
-    check_cap(q, cap, "sweep", f)
     mask = f._trace_mask()
     mul = f._mul_func()
     for lc in range(1, q):
@@ -216,7 +215,7 @@ def verify_char2_prop(n, cap=None):
             counts = {}
             for bc in range(q):
                 e = Char2Curve(f, f.from_code(bc), lam)
-                counts[bc] = char2_count(e, cap)
+                counts[bc] = char2_count(e)
                 if (counts[bc] % 4 == 0) != ((bc & mask).bit_count() % 2 == 0):
                     return False
             for bc in range(q):
@@ -227,14 +226,12 @@ def verify_char2_prop(n, cap=None):
     return True
 
 
-def verify_odd_intersection(n, cap=None):
+def verify_odd_intersection(n):
     """|{x : Tr(x) = Tr(sqrt(lambda)/x)}| is odd for every lambda, by
     `_trace_hits`."""
     f = make_field(2, n)
-    q = f.q
-    check_cap(q, cap, "sweep", f)
     mul = f._mul_func()
-    for lc in range(1, q):
+    for lc in range(1, f.q):
         s = _sqrt_code(f, lc)
         if mul(s, s) != lc:
             raise RuntimeError("a char-2 square root does not square back")
@@ -243,7 +240,7 @@ def verify_odd_intersection(n, cap=None):
     return True
 
 
-def frobenius_image_check(lam, cap=None):
+def frobenius_image_check(lam):
     """The count of the lambda^2 curve equals the count of the model
     eta^2 + xi*eta = xi^3 + lambda*xi, each enumerated separately."""
     f = lam.field
@@ -251,13 +248,11 @@ def frobenius_image_check(lam, cap=None):
         raise ValueError("this family lives in characteristic 2")
     if not lam:
         raise ValueError("lambda = 0 is singular")
-    q = f.q
-    check_cap(q, cap, "counting", f)
-    n1 = char2_count(Char2Curve(f, 0, lam * lam), cap)
+    n1 = char2_count(Char2Curve(f, 0, lam * lam))
     # Tr(x + lambda/x) = 0 exactly when Tr(x) = Tr(lambda * x^-1)
     lc = f.code(lam)
     n2 = 2 + 2 * _trace_hits(f, lc, -1)
-    if q <= _LITERAL_CAP and 1 + _literal_image_count(lam) != n2:
+    if f.q <= _LITERAL_CAP and 1 + _literal_image_count(lam) != n2:
         raise RuntimeError(
             f"trace and literal counts disagree on the image model "
             f"for lambda code {lc} over GF(2^{f.n})")

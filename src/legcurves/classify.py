@@ -194,14 +194,14 @@ def census_summary(q, cap=None):
     }
 
 
-def verify_isogeny_window(q, cap=None):
+def verify_isogeny_window(q):
     """Check the classification, and `predict_legendre_isogenous` on
     every attained count, against the all-curves oracle and the Legendre
     witnesses, and the oracle's attained set against Waterhouse's
     theorem; returns a list of failure descriptions, empty when
     everything matches."""
     failures = []
-    records = census(q, cap)
+    records = census(q)
     f = field_of_order(q)
     attained = {r.n for r in records if r.attained}
     theorem = _waterhouse_counts(f.p, f.n)

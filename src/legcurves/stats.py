@@ -87,11 +87,11 @@ def legendre_sum(q, cap=None, aux_cap=DEFAULT_AUX_CAP):
     return record
 
 
-def verify_stats(q, cap=None, aux_cap=DEFAULT_AUX_CAP):
+def verify_stats(q, aux_cap=DEFAULT_AUX_CAP):
     """Closed form, proof-route identities, and the mod-4 behaviour for
     q = 1 mod 4; returns failure strings, empty when all hold."""
     failures = []
-    rec = legendre_sum(q, cap, aux_cap)
+    rec = legendre_sum(q, aux_cap=aux_cap)
     sign = count_sign(q)
     if not rec.formula_ok:
         failures.append(

@@ -767,6 +767,29 @@ class TestIsomorphism:
                         for v in (fa, -fa, fb, -fb, fa - fb, fb - fa))
                     assert is_legendre_isomorphic(e) == witness
 
+    @pytest.mark.parametrize("q", odd_prime_powers(27), ids=lambda q: f"q{q}")
+    def test_legendre_membership_matches_the_scan_over_every_mu(self, q):
+        # every monic curve and its twist by the first non-square, against
+        # the exhaustive scan over every Legendre model
+        f = field_of_order(q)
+        d0 = f.from_code(curve_module._first_nonsquare_code(f))
+        for codes in itertools.combinations(range(q), 3):
+            e = Curve(f, *map(f.from_code, codes))
+            for c in (e, twist(e, d0)):
+                roots = c._monic_codes()
+                want = any(curve_module._root_transform_exists(
+                    f, roots, (0, 1, mu)) for mu in range(2, q))
+                assert is_legendre_isomorphic(c) == want, c
+
+    def test_legendre_membership_reads_no_count(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the membership test counted points")
+        monkeypatch.setattr(curve_module, "legendre_count_table", refuse)
+        monkeypatch.setattr(Curve, "count_points", refuse)
+        assert is_legendre_isomorphic(legendre(F13, 4))
+        assert not is_legendre_isomorphic(Curve(F13, 0, -2, 5))
+        assert verify_four_torsion_equivalence(F13) == []
+
 
 def descent_image(e, point):
     """Square classes of (x-alpha, x-beta, x-gamma) at an affine point
@@ -940,6 +963,14 @@ class TestFourTorsion:
         failures = verify_four_torsion_equivalence(field_of_order(q))
         assert failures
         assert all("points killed by 4, not 4(1 + " in m for m in failures)
+
+    def test_sweep_catches_a_twist_outside_the_family(self, monkeypatch):
+        monkeypatch.setattr(curve_module, "is_legendre_isomorphic",
+                            lambda curve: False)
+        failures = verify_four_torsion_equivalence(field_of_order(13))
+        assert failures
+        assert all(m.endswith("non-square twist escapes the Legendre family")
+                   for m in failures)
 
 
 class TestTwoIsogeny:

@@ -1,6 +1,8 @@
 """Field construction, arithmetic, characters, roots and enumeration."""
 
+import importlib
 import inspect
+import pkgutil
 import random
 
 import pytest
@@ -17,7 +19,6 @@ from legcurves.curve import (
     isomorphism_classes,
     legendre,
     legendre_count_table,
-    verify_group_law,
 )
 from legcurves.field import (
     DEFAULT_ENUMERATION_CAP,
@@ -164,22 +165,14 @@ CAPPED = [
      lambda cap: stats.auxiliary_counts(7, cap)),
     ("counting", 8, char2.char2_count, lambda cap: char2.char2_count(
         char2.Char2Curve(F8, 0, 1), cap)),
-    ("sweep", 8, char2.verify_char2_prop,
-     lambda cap: char2.verify_char2_prop(3, cap)),
-    ("sweep", 8, char2.verify_odd_intersection,
-     lambda cap: char2.verify_odd_intersection(3, cap)),
-    ("counting", 8, char2.frobenius_image_check,
-     lambda cap: char2.frobenius_image_check(F8(1), cap)),
-    ("point enumeration", 7, count_four_torsion,
-     lambda cap: count_four_torsion(legendre(F7, 3), cap)),
-    ("point enumeration", 7, verify_group_law,
-     lambda cap: verify_group_law(F7, cap=cap)),
     ("isomorphism test", 7, is_isomorphic,
      lambda cap: is_isomorphic(legendre(F7, 3), legendre(F7, 5), cap)),
-    ("counting", 7, is_legendre_isomorphic,
+    ("isomorphism test", 7, is_legendre_isomorphic,
      lambda cap: is_legendre_isomorphic(legendre(F7, 3), cap)),
     ("lambda sweep", 7, isomorphism_classes,
      lambda cap: isomorphism_classes(F7, cap)),
+    ("point enumeration", 7, count_four_torsion,
+     lambda cap: count_four_torsion(legendre(F7, 3), cap)),
 ]
 
 
@@ -209,6 +202,23 @@ def test_every_public_cap_parameter_has_a_capped_entry():
     assert taking_cap
     tested = [target for _, _, target, _ in CAPPED]
     assert [m.__qualname__ for m in taking_cap if m not in tested] == []
+
+
+def test_no_verify_sweep_takes_a_cap():
+    # the exhaustive oracles are bounded by the table cap alone
+    sweeps = []
+    for info in pkgutil.iter_modules(legcurves.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"legcurves.{info.name}")
+        sweeps += [fn for name, fn in vars(module).items()
+                   if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                   and (name.startswith("verify_")
+                        or name == "frobenius_image_check")]
+    assert char2.frobenius_image_check in sweeps
+    assert curve.verify_group_law in sweeps
+    assert [fn.__qualname__ for fn in sweeps
+            if "cap" in inspect.signature(fn).parameters] == []
 
 
 def test_codes_roundtrip():

@@ -141,6 +141,22 @@ class TestRootTables:
             supersingular_lambdas.cache_clear()
 
     @pytest.mark.parametrize("p", [13, 31, 199])
+    def test_a_repeated_factor_is_caught(self, p, monkeypatch):
+        # its roots still evaluate to 0, so only the distinctness check
+        # sees them
+        real = supersingular.quadratic_factors
+        monkeypatch.setattr(supersingular, "quadratic_factors",
+                            lambda f, p, roots, rng:
+                            (lambda fs: fs[:1] + fs)(real(f, p, roots, rng)))
+        supersingular_lambdas.cache_clear()
+        try:
+            with pytest.raises(RuntimeError,
+                               match=f"p={p}: a root was found twice"):
+                supersingular_lambdas(p)
+        finally:
+            supersingular_lambdas.cache_clear()
+
+    @pytest.mark.parametrize("p", [13, 31, 199])
     def test_a_wrong_root_fails_evaluation(self, p, monkeypatch):
         # the first conjugate pair comes back with its first t-coordinate
         # off by one: same count, still distinct, but not a root
