@@ -285,7 +285,7 @@ def suite_exceptional_counts(scale="full"):
 
 
 def suite_count_sum(scale="full"):
-    limit, aux = (1000, 343) if scale == "full" else (121, 49)
+    limit, aux = (1000, 512) if scale == "full" else (121, 49)
     failures = []
     for q in odd_prime_powers(limit):
         failures.extend(stats.verify_stats(q, aux_cap=aux))

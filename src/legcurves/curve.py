@@ -23,8 +23,10 @@ character sums sum_v w[v] * chi(v + b) for every b at once, from one
 exact product of two packed integers; the self-twist sweep reads its
 q + 1 prefilter from that table too.  The one literal (x, y) count of
 the family, `_literal_legendre_counts`, backs them in the twist check
-and in `stats`.  The verify_* sweeps at the bottom are exhaustive
-oracles used by the test suite and the CLI.
+and in `stats`: it walks x = g^k through the `Field._explog` tables,
+one builtin sum per lambda, and reads no character table.  The
+verify_* sweeps at the bottom are exhaustive oracles used by the test
+suite and the CLI.
 """
 
 from __future__ import annotations
@@ -511,19 +513,41 @@ def _literal_legendre_counts(field, d):
     """L[lambda] = |{(x, y) : d*y^2 = x(x-1)(x-lambda)}| for every
     lambda code, 0 and 1 included: the literal (x, y) count, grouped by
     the value v of the cubic.  hist[v] = |{y : d*y^2 = v}| is filled by
-    squaring every y, and the cubic is a - lambda*b with a = x^2(x-1)
-    and b = x(x-1).  Reads no quadratic-character table, so it stays an
-    oracle for the character-sum routes."""
+    squaring every y.  The sum walks x = g^k in `Field._explog` order:
+    with b = x(x-1) the cubic is b*(x - lambda), and x - lambda =
+    x*(1 - lambda/x), so at lambda = g^l its log is C[k] + Z[k - l],
+    with C[k] = log(b) + k and Z[j] = log(1 - g^-j).  Both lists take
+    O(q) field operations; each lambda is then one builtin sum over hist
+    read at C plus a rotated slice of Z, and one index past every sum of
+    two logs stands for a zero cubic (x = 1 or x = lambda).  x = 0 adds
+    hist[0] to every lambda, and lambda = 0 is summed directly.  Reads
+    no quadratic-character or square-root table, so it stays an oracle
+    for the character-sum routes."""
     q = field.q
+    m = q - 1
     sub = field._sub_func()
     mul = field._mul_func()
+    exp, log = field._explog()
     hist = [0] * q
     for y in range(q):
         hist[mul(d, mul(y, y))] += 1
-    b = [mul(x, sub(x, 1)) for x in range(q)]
-    ab = [(mul(x, bx), bx) for x, bx in enumerate(b)]
-    return [sum(hist[sub(a, mul(lam, b))] for a, b in ab)
-            for lam in range(q)]
+    # a sum of two logs lies in [0, 2m - 2]; a sum holding `zero` lies
+    # in [2m, 4m], where by_log reads hist[0]
+    zero = 2 * m
+    by_log = [hist[v] for v in exp] * 2 + [hist[0]] * (2 * m + 1)
+    c = []
+    for k, x in enumerate(exp):
+        b = mul(x, sub(x, 1))
+        c.append(zero if b == 0 else (log[b] + k) % m)
+    z = [zero] + [log[sub(1, exp[m - j])] for j in range(1, m)]
+    z += z
+    read, h0 = by_log.__getitem__, hist[0]
+    out = [0] * q
+    out[0] = sum(hist[mul(x, mul(x, sub(x, 1)))] for x in range(q))
+    for l, lam in enumerate(exp):
+        out[lam] = h0 + sum(map(read, map(operator.add, c,
+                                              z[m - l:2 * m - l])))
+    return out
 
 
 def _affine_codes(field, roots, dinv=1):

@@ -241,6 +241,15 @@ GOLDEN_DIGESTS = [
      "0ff8ac2a07fa609f46f58e827b5fc741a991e9ff3edad70ea1af6c41d473e311"),
     ("classify --q 625", "csv",
      "ca9c02604111c418f69e733fe478712534b738364d14573b6bb41f59dfc7f5c4"),
+    # the literal count backs every lambda of these tables
+    ("stats --q 953 --aux-cap 1000", "json",
+     "0e89e1eb4802dc327e4784cd4e4895d358d19a0340ac5f25885cf32410ae4d06"),
+    ("stats --q 953 --aux-cap 1000", "csv",
+     "0288629b401fef31abbd6f69c64c863682edf94721df6f3d01f4ecec32bc3c9d"),
+    ("stats --q 343", "json",
+     "e44efcf5b0ba01e169ae0212b890fa023c42d6bd8dc66c3cab5e5c94c5bae9c2"),
+    ("stats --q 343", "csv",
+     "9263956a94d2e923b6ff564b0510dd2a39dfff168ebb39a7ae4f71e8a76330a6"),
 ]
 
 

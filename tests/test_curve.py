@@ -26,6 +26,7 @@ from legcurves import (
 from legcurves import curve as curve_module
 from legcurves.field import (
     DEFAULT_ENUMERATION_CAP,
+    Field,
     field_of_order,
     odd_prime_powers,
     prime_factors,
@@ -45,6 +46,7 @@ from legcurves.curve import (
     verify_twist_counts,
     verify_two_descent_kernel,
 )
+from legcurves.stats import legendre_sum
 from legcurves.supersingular import supersingular_lambdas
 
 F3 = make_field(3)
@@ -349,6 +351,61 @@ class TestCountTable:
         monkeypatch.setattr(curve_module, "_chi_shift_sums", one_slot_off)
         with pytest.raises(RuntimeError, match="Hasse bound"):
             legendre_count_table(f)
+
+
+def closure_literal_counts(field, d):
+    """|{(x, y) : d*y^2 = x(x-1)(x-lambda)}| for every lambda code by the
+    nested pass: one `sub` and one `mul` closure call per (x, lambda)
+    pair, on the cubic a - lambda*b with a = x^2(x-1), b = x(x-1)."""
+    q = field.q
+    sub = field._sub_func()
+    mul = field._mul_func()
+    hist = [0] * q
+    for y in range(q):
+        hist[mul(d, mul(y, y))] += 1
+    ab = [(mul(x, b), b) for x in range(q) for b in [mul(x, sub(x, 1))]]
+    return [sum(hist[sub(a, mul(lam, b))] for a, b in ab)
+            for lam in range(q)]
+
+
+class TestLiteralCount:
+    @pytest.mark.parametrize("q", odd_prime_powers(125) + [343],
+                             ids=lambda q: f"q{q}")
+    def test_matches_closure_pass(self, q):
+        f = field_of_order(q)
+        for d in (1, curve_module._first_nonsquare_code(f)):
+            assert (curve_module._literal_legendre_counts(f, d)
+                    == closure_literal_counts(f, d))
+
+    @pytest.mark.parametrize("q", [13, 25, 27], ids=lambda q: f"q{q}")
+    def test_reads_no_character_table(self, q, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the literal count read a character table")
+        monkeypatch.setattr(Field, "_chi_codes", refuse)
+        monkeypatch.setattr(Field, "_sqrt_codes", refuse)
+        f = field_of_order(q)
+        assert (curve_module._literal_legendre_counts(f, 1)
+                == closure_literal_counts(f, 1))
+
+    # the count table of a prime field reads no log table, so a broken
+    # one shows only in the literal count, and legendre_sum must say so
+    @pytest.mark.parametrize("i, j", [(1, 2), (3, 7)], ids=["1-2", "3-7"])
+    @pytest.mark.parametrize("q", [13, 29], ids=lambda q: f"q{q}")
+    def test_swapped_log_table_is_caught(self, q, i, j, monkeypatch):
+        real = Field._explog
+
+        def swapped(self):
+            exp, log = map(list, real(self))
+            exp[i], exp[j] = exp[j], exp[i]
+            log[exp[i]], log[exp[j]] = i, j
+            return exp, log
+        f = field_of_order(q)
+        # tables built from the swapped logs must not outlive the test
+        monkeypatch.setattr(f, "_tab", dict(f._tab))
+        monkeypatch.setattr(Field, "_explog", swapped)
+        with pytest.raises(RuntimeError, match="count table .* and literal "
+                                               "count .* disagree"):
+            legendre_sum(q)
 
 
 class TestShiftSums:
