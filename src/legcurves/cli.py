@@ -564,6 +564,12 @@ def _require_odd_prime_power(q, parser):
 
 def _resolve_values(args, parser):
     cmd = args.command
+    # before any factoring or scan: no table above the cap can be built
+    for name in ("q", "q_max", "p", "p_max"):
+        value = getattr(args, name, None)
+        if value is not None and value > DEFAULT_ENUMERATION_CAP:
+            parser.error(f"--{name.replace('_', '-')} {value} is above the "
+                         f"enumeration cap {DEFAULT_ENUMERATION_CAP}")
     if cmd == "count":
         _require_odd_prime_power(args.q, parser)
         for lc in args.lam or ():

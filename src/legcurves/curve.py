@@ -19,14 +19,16 @@ of the monic model, (x, y) -> (d*x, d^2*y), so they build no table and
 work on every field the package builds; `verify_group_law` checks the
 code law and the x-only map against it.  The lambda-line count table
 and the all-curves oracle of `classify` share `_chi_shift_sums`: the
-character sums sum_v w[v] * chi(v + b) for every b at once, from one
-exact product of two packed integers; the self-twist sweep reads its
-q + 1 prefilter from that table too.  The one literal (x, y) count of
-the family, `_literal_legendre_counts`, backs them in the twist check
-and in `stats`: it walks x = g^k through the `Field._explog` tables,
-one builtin sum per lambda, and reads no character table.  The
-verify_* sweeps at the bottom are exhaustive oracles used by the test
-suite and the CLI.
+character sums sum_v w[v] * chi(v + b) for every b at once, as one
+cyclic correlation (`_correlate`, one exact product of two packed
+integers): over Z/p directly, and over F_q^* in log order for an
+extension field, so no operand holds more than q slots.  The self-twist
+sweep reads its q + 1 prefilter from that table too.  The one literal
+(x, y) count of the family, `_literal_legendre_counts`, backs them in
+the twist check and in `stats`: it walks x = g^k through the
+`Field._explog` tables, one builtin sum per lambda, and reads no
+character table.  The verify_* sweeps at the bottom are exhaustive
+oracles used by the test suite and the CLI.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ from math import comb, lcm
 import operator
 
 from .field import Fe, _first_nonresidue, check_cap, check_hasse, prime_factors
-
-# Packed operands of `_chi_shift_sums` hold at most this many slots per
-# field element; larger layouts move top digits to an outer loop.
-_PACK_RATIO = 32
 
 
 class Point:
@@ -371,108 +369,58 @@ def legendre_count_table(field, cap=None):
 # integer-code engine shared by the exhaustive sweeps
 
 
-def _moved_digit_count(p, n):
-    """The number k of top base-p digits that `_chi_shift_sums` sums in
-    an outer loop: the least k with (2p-1)^(n-k) <= _PACK_RATIO * p^n."""
-    k = 0
-    while (2 * p - 1) ** (n - k) > _PACK_RATIO * p ** n:
-        k += 1
-    return k
-
-
-def _spread(vals, p, digits, negate):
-    """Slot list with vals[u] at slot sum(e_i * (2p-1)^i), where e is the
-    base-p digit vector of u (of -u when negate) and the gaps are 0:
-    ((2p-1)^digits + 1) / 2 slots."""
-    if digits == 1:
-        return vals[:1] + vals[:0:-1] if negate else list(vals)
-    size = p ** (digits - 1)
-    stride = (2 * p - 1) ** (digits - 1)
-    gap = [0] * (stride // 2)
-    out = []
-    for e in range(p):
-        d = -e % p if negate else e
-        if e:
-            out += gap
-        out += _spread(vals[d * size:(d + 1) * size], p, digits - 1, negate)
-    return out
-
-
-def _fold(slots, p, digits):
-    """Code-ordered sums of a product of two `_spread` operands: the slot
-    with digits e (each at most 2p - 2) adds into the code with digits
-    e_i mod p.  Each pass folds the lowest packed digit (e and e + p,
-    for e + p <= 2p - 2) and moves it to the top, so after `digits`
-    passes the list is indexed by code."""
-    s = 2 * p - 1
-    for _ in range(digits):
-        rows = len(slots) // s
-        out = [0] * (rows * p)
-        if rows >= p:
-            for d in range(p - 1):
-                out[d * rows:(d + 1) * rows] = map(
-                    operator.add, slots[d::s], slots[d + p::s])
-            out[(p - 1) * rows:] = slots[p - 1::s]
-        else:
-            for r in range(rows):
-                row = slots[r * s:(r + 1) * s]
-                out[r::rows] = [*map(operator.add, row, row[p:]), row[p - 1]]
-        slots = out
-    return slots
-
-
-def _digit_add(a, b, p):
-    """The code of a + b: base-p digits add mod p."""
-    c = 0
-    scale = 1
-    while a or b:
-        c += (a + b) % p * scale
-        a //= p
-        b //= p
-        scale *= p
-    return c
-
-
 def _packed(slots):
     return int.from_bytes(array("I", slots), sys.byteorder)
 
 
-def _chi_shift_sums(field, w):
-    """T[b] = sum over v of w[v] * chi(v + b) for every code b, from one
-    exact product of two packed integers (Kronecker substitution).
+def _correlate(a, c):
+    """r[l] = sum over k of a[k] * c[(k + l) mod m] for every l, where
+    m = len(a) = len(c) and each c[j] is in {-1, 0, 1}, from one exact
+    product of two m-slot packed integers (Kronecker substitution).
 
-    Each base-p digit of a code gets a slot stride of 2p - 1, so the
-    digit sums of a product never carry.  w[v] - min(w) sits at the slot
-    of -v and chi(u) + 1 at the slot of u; folding the product's digits
-    e_i and e_i + p gathers every pair with u = v + b.  That gives
-    T[b] + sum(w - min(w)), because chi sums to 0 over the field.  The
-    32-bit slots hold at most 2 * sum(w - min(w)), 4q for a character
-    weight and 2q for a histogram.
-
-    When (2p-1)^n exceeds _PACK_RATIO * q, the top `_moved_digit_count`
-    digits go to an outer loop: for each high part of b, the products of
-    the slices with high parts v and v + b are summed before the fold.
-    """
-    p, q = field.p, field.q
-    low = field.n - _moved_digit_count(p, field.n)
-    size = p ** low
-    nbytes = 4 * (2 * p - 1) ** low
-    floor = min(w)
-    a = [x - floor for x in w]
+    a[k] - min(a) sits at slot -k mod m and c[j] + 1 at slot j, so
+    folding the product's slots s and s + m gathers every pair with
+    j = k + s mod m.  That gives r[s] + sum(a - min(a)) - min(a) * sum(c).
+    The 32-bit slots hold at most 2 * sum(a - min(a)), 4q for a
+    character weight and 2q for a histogram."""
+    m = len(a)
+    floor = min(a)
+    a = [x - floor for x in a]
     bias = sum(a)
     if 2 * bias >> 32:
         raise ValueError("weights too large for 32-bit slots")
-    c = [x + 1 for x in field._chi_codes()]
-    out = []
-    for bh in range(0, q, size):
-        acc = 0
-        for vh in range(0, q, size):
-            uh = _digit_add(vh, bh, p)
-            acc += (_packed(_spread(a[vh:vh + size], p, low, True))
-                    * _packed(_spread(c[uh:uh + size], p, low, False)))
-        slots = array("I", acc.to_bytes(nbytes, sys.byteorder)).tolist()
-        out += _fold(slots, p, low)
-    return [t - bias for t in out]
+    prod = _packed(a[:1] + a[:0:-1]) * _packed([x + 1 for x in c])
+    slots = array("I", prod.to_bytes(8 * m, sys.byteorder)).tolist()
+    bias -= floor * sum(c)
+    return [s + t - bias for s, t in zip(slots[:m], slots[m:])]
+
+
+def _chi_shift_sums(field, w):
+    """T[b] = sum over v of w[v] * chi(v + b) for every code b, as one
+    cyclic correlation (`_correlate`).
+
+    A prime field's codes are Z/p itself, so T is the correlation of w
+    with chi, and no log table is read.  An extension field indexes
+    F_q^* by log: for v = g^k and b = g^l, chi(v + b) = chi(b) *
+    chi(1 + g^(k-l)), so T[g^l] = chi(g^l) * (w[0] + r[-l mod m]) with r
+    the correlation of w[g^k] with chi(1 + g^j), m = q - 1.  1 + g^j only
+    changes the constant digit of the code, as in `Field._zech`.  T[0]
+    is summed directly."""
+    chi = field._chi_codes()
+    if field.n == 1:
+        return _correlate(w, chi)
+    p, q = field.p, field.q
+    m = q - 1
+    exp, _ = field._explog()
+    top = p - 1
+    r = _correlate([w[u] for u in exp],
+                   [chi[u - top if u % p == top else u + 1] for u in exp])
+    out = [0] * q
+    out[0] = sum(map(operator.mul, w, chi))
+    w0 = w[0]
+    for l, u in enumerate(exp):
+        out[u] = chi[u] * (w0 + r[-l % m])
+    return out
 
 
 def _cubic_codes(field, roots):

@@ -11,6 +11,7 @@ import pytest
 
 from legcurves import char2 as c2
 from legcurves import classify, cli
+from legcurves.field import DEFAULT_ENUMERATION_CAP
 
 
 def run_main(argv):
@@ -169,11 +170,25 @@ class TestUsageErrors:
         ["char2", "--n", "3", "--beta", "99"],
         ["char2", "--n", "3", "--beta", "-1"],
         ["char2", "--n-max", "4", "--beta", "3"],
+        # above the cap: refused before any factoring or scan
+        ["count", "--q", "1048583"],
+        ["count", "--q", "1000000000000000003"],
+        ["supersingular", "--p", "1000000000000000003"],
+        ["classify", "--q-max", "100000000000"],
     ])
     def test_exit_two(self, argv):
         with pytest.raises(SystemExit) as exc:
             run_main(argv)
         assert exc.value.code == 2
+
+    def test_prime_above_the_cap_names_the_cap(self, capsys):
+        # 1048583 is the first prime above 2^20, not a non-prime-power
+        with pytest.raises(SystemExit) as exc:
+            run_main(["count", "--q", "1048583"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"enumeration cap {DEFAULT_ENUMERATION_CAP}" in err
+        assert "not an odd prime power" not in err
 
     def test_invariant_failure_exits_one(self, monkeypatch, capsys):
         def boom(q, cap=None, with_attained=True):
@@ -246,6 +261,16 @@ GOLDEN_DIGESTS = [
      "0e89e1eb4802dc327e4784cd4e4895d358d19a0340ac5f25885cf32410ae4d06"),
     ("stats --q 953 --aux-cap 1000", "csv",
      "0288629b401fef31abbd6f69c64c863682edf94721df6f3d01f4ecec32bc3c9d"),
+    # extension-field count tables at 3^8 and 5^6, taken before the kernel
+    # moved to the log-indexed correlation
+    ("count --q 6561", "json",
+     "0e3c6612c330c6378471882bfc4306e1f3df3bef88d40e7fb838f8885de06a51"),
+    ("count --q 6561", "csv",
+     "6589bd5b954c1c72a8c9f46af2dfb832f5f1a39201d2288da9982a1153795c0a"),
+    ("count --q 15625", "json",
+     "6d60072c4631d459d32f623f430d5bc4537cd3c4f7803bf6dfa702d26fa298ec"),
+    ("count --q 15625", "csv",
+     "8dd9876806b4081715d9128558cb3a034ff8321aaf5790f4949c0525ce49d07c"),
     ("stats --q 343", "json",
      "e44efcf5b0ba01e169ae0212b890fa023c42d6bd8dc66c3cab5e5c94c5bae9c2"),
     ("stats --q 343", "csv",

@@ -32,10 +32,8 @@ from legcurves.field import (
     prime_factors,
 )
 from legcurves.curve import (
-    _PACK_RATIO,
     _chi_shift_sums,
     _cubic_codes,
-    _moved_digit_count,
     _trace_zero_triples,
     _unrank_triple,
     verify_class_sizes,
@@ -330,7 +328,7 @@ def literal_count_table(field):
 
 
 class TestCountTable:
-    # 2187 = 3^7 moves one digit to the outer loop of the kernel
+    # 729 and 2187 take the log-indexed correlation of an extension field
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 125,
                                    243, 729, 2187], ids=lambda q: f"q{q}")
     def test_matches_literal_loop(self, q):
@@ -438,28 +436,10 @@ class TestShiftSums:
         failures = verify_shift_sums(F9)
         assert len(failures) == 2 and all("b=8" in m for m in failures)
 
-    def test_layout_bound_for_every_admitted_field(self):
-        cap = DEFAULT_ENUMERATION_CAP
-        sieve = bytearray([1]) * (cap + 1)
-        for d in range(2, int(cap ** 0.5) + 1):
-            if sieve[d]:
-                sieve[d * d::d] = bytes(len(range(d * d, cap + 1, d)))
-        seen = 0
-        for p in range(3, cap + 1, 2):
-            if not sieve[p]:
-                continue
-            q, n = p, 1
-            while q <= cap:
-                k = _moved_digit_count(p, n)
-                assert (2 * p - 1) ** (n - k) <= _PACK_RATIO * q
-                assert k == 0 or (2 * p - 1) ** (n - k + 1) > _PACK_RATIO * q
-                seen += 1
-                q, n = q * p, n + 1
-        assert seen > 80000
-        assert _moved_digit_count(3, 6) == 0 and _moved_digit_count(3, 7) == 1
-
+    # one cyclic correlation: each operand holds one slot per element of
+    # F_q (prime) or F_q^* (extension)
     @pytest.mark.parametrize("q", [729, 2187, 2609], ids=lambda q: f"q{q}")
-    def test_packed_operands_within_ratio(self, q, monkeypatch):
+    def test_packed_operands_hold_at_most_q_slots(self, q, monkeypatch):
         real = curve_module._packed
         sizes = []
 
@@ -468,7 +448,13 @@ class TestShiftSums:
             return real(slots)
         monkeypatch.setattr(curve_module, "_packed", spy)
         legendre_count_table(field_of_order(q))
-        assert sizes and 2 * max(sizes) - 1 <= _PACK_RATIO * q
+        assert sizes and max(sizes) <= q
+
+    @pytest.mark.parametrize("q", [7, 9], ids=lambda q: f"q{q}")
+    def test_weights_beyond_32_bit_slots_are_refused(self, q):
+        w = [0] * (q - 1) + [1 << 31]
+        with pytest.raises(ValueError, match="weights too large"):
+            _chi_shift_sums(field_of_order(q), w)
 
 
 class TestGroupLaw:
