@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import char2 as c2
@@ -36,6 +36,7 @@ from .field import (
     field_of_order,
     make_field,
     odd_prime_powers,
+    odd_primes,
     trace2,
 )
 
@@ -76,6 +77,10 @@ class RunConfig:
             raise ValueError("empty range: nothing to do")
         if self.jobs < 1:
             raise ValueError("--jobs must be at least 1")
+        if self.aux_cap < 0:
+            raise ValueError(f"--aux-cap {self.aux_cap} is negative")
+        if self.cap is not None and self.cap < 0:
+            raise ValueError(f"--max-q {self.cap} is negative")
         if self.cap is not None and self.cap > DEFAULT_ENUMERATION_CAP:
             raise ValueError(
                 f"--max-q {self.cap} is above the table cap "
@@ -212,11 +217,25 @@ def _build_rows(config: RunConfig):
     else:
         tasks = [(v, config.cap) for v in config.values]
     if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the pool forks all its workers at once: never more than the
+        # tasks or the cores
+        workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+        # read through the module, so `__getattr__` below and a replaced
+        # class both apply
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             per_task = list(pool.map(builder, tasks))
     else:
         per_task = [builder(t) for t in tasks]
     return [row for chunk in per_task for row in chunk]
+
+
+def __getattr__(name):
+    # concurrent.futures loads when a pool first starts, not with the CLI
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +270,16 @@ def _emit(text, out):
 
 
 # ---------------------------------------------------------------------------
-# verify-all: the acceptance suites, each timed on stderr.  Each returns a
-# list of failure strings; empty means the suite passed.
-
-def _odd_primes(limit):
-    return [p for p in odd_prime_powers(limit) if field_of_order(p).n == 1]
-
+# verify-all: the acceptance suites, each timed on stderr.  Each returns
+# (failures, cases): the failure strings, empty when the suite passed,
+# and how many fields, primes or degrees its outer loops checked.
 
 def suite_isogeny_window(scale="full"):
-    limit = 729 if scale == "full" else 49
+    qs = odd_prime_powers(729 if scale == "full" else 49)
     failures = []
-    for q in odd_prime_powers(limit):
+    for q in qs:
         failures.extend(classify.verify_isogeny_window(q))
-    return failures
+    return failures, len(qs)
 
 
 def suite_exceptional_counts(scale="full"):
@@ -281,21 +297,22 @@ def suite_exceptional_counts(scale="full"):
         if rec.excluded_reason != classify.EXCLUDED_EXCEPTION:
             failures.append(f"q={q}: count {target} not marked as the "
                             f"maximal/minimal exception")
-    return failures
+    return failures, len(squares)
 
 
 def suite_count_sum(scale="full"):
     limit, aux = (1000, 512) if scale == "full" else (121, 49)
+    qs = odd_prime_powers(limit)
     failures = []
-    for q in odd_prime_powers(limit):
+    for q in qs:
         failures.extend(stats.verify_stats(q, aux_cap=aux))
-    return failures
+    return failures, len(qs)
 
 
 def suite_supersingular_roots(scale="full"):
-    limit = 200 if scale == "full" else 61
+    primes = odd_primes(200 if scale == "full" else 61)
     failures = []
-    for p in _odd_primes(limit):
+    for p in primes:
         t = supersingular.supersingular_lambdas(p)
         if len(t.roots) != (p - 1) // 2:
             failures.append(f"p={p}: expected {(p - 1) // 2} supersingular "
@@ -303,45 +320,45 @@ def suite_supersingular_roots(scale="full"):
         if not supersingular.verify_eighth_power(p):
             failures.append(f"p={p}: negated supersingular lambdas are not "
                             f"all eighth powers")
-    return failures
+    return failures, len(primes)
 
 
 def suite_root_count_formula(scale="full"):
-    limit = 500 if scale == "full" else 100
+    primes = odd_primes(500 if scale == "full" else 100)
     return [f"p={p}: prime-field root count deviates from the "
             f"class-number dispatch"
-            for p in _odd_primes(limit)
-            if not supersingular.verify_sp_formula(p)]
+            for p in primes
+            if not supersingular.verify_sp_formula(p)], len(primes)
 
 
 def suite_supersingular_structure(scale="full"):
-    limit = 31 if scale == "full" else 13
+    primes = odd_primes(43 if scale == "full" else 13)
     return [f"p={p}: some supersingular group is not the expected square "
             f"of a cyclic factor"
-            for p in _odd_primes(limit)
-            if not supersingular.verify_ss_structure(p)]
+            for p in primes
+            if not supersingular.verify_ss_structure(p)], len(primes)
 
 
 def suite_four_torsion(scale="full"):
-    limit = 121 if scale == "full" else 25
+    qs = odd_prime_powers(121 if scale == "full" else 25)
     failures = []
-    for q in odd_prime_powers(limit):
+    for q in qs:
         failures.extend(verify_four_torsion_equivalence(field_of_order(q)))
-    return failures
+    return failures, len(qs)
 
 
 def suite_descent_and_classes(scale="full"):
-    descent_limit = 49 if scale == "full" else 13
+    descent_qs = odd_prime_powers(49 if scale == "full" else 13)
     class_qs = ((7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
                 if scale == "full" else (7, 11))
     failures = []
-    for q in odd_prime_powers(descent_limit):
+    for q in descent_qs:
         f = field_of_order(q)
         failures.extend(verify_two_descent_kernel(f))
         failures.extend(verify_nonsquare_twist_isomorphism(f))
     for q in class_qs:
         failures.extend(verify_class_sizes(field_of_order(q)))
-    return failures
+    return failures, len(descent_qs) + len(class_qs)
 
 
 def suite_char2(scale="full"):
@@ -375,7 +392,7 @@ def suite_char2(scale="full"):
             if not c2.frobenius_image_check(lam):
                 failures.append(f"n={n}, lambda code {lc}: squared-lambda "
                                 f"count differs from the image-model count")
-    return failures
+    return failures, limit
 
 
 def _field_axiom_failures(q):
@@ -420,20 +437,21 @@ def _field_axiom_failures(q):
 
 
 def suite_infrastructure(scale="full"):
-    limit = 121 if scale == "full" else 25
+    fields = odd_prime_powers(121 if scale == "full" else 25)
     failures = []
-    for q in odd_prime_powers(limit):
+    for q in fields:
         failures.extend(_field_axiom_failures(q))
         f = field_of_order(q)
         failures.extend(verify_group_law(f))
         failures.extend(verify_twist_counts(f))
         failures.extend(verify_shift_sums(f))
-    for p in _odd_primes(127 if scale == "full" else 31):
-        if p >= 17:
-            failures.extend(supersingular.verify_hasse_trace(p))
+    hasse_primes = [p for p in odd_primes(127 if scale == "full" else 31)
+                    if p >= 17]
+    for p in hasse_primes:
+        failures.extend(supersingular.verify_hasse_trace(p))
     # determinism: the same config must render identical bytes whether
     # rows are built serially, in a pool, or on a second run
-    qs = list(odd_prime_powers(25))
+    qs = odd_prime_powers(25)
     base = RunConfig("classify", qs)
     serial = render(_build_rows(base), "json", "classify")
     again = render(_build_rows(base), "json", "classify")
@@ -448,7 +466,7 @@ def suite_infrastructure(scale="full"):
         b = render(_build_rows(RunConfig("stats", qs, jobs=3)), fmt, "stats")
         if a != b:
             failures.append(f"stats {fmt} output depends on --jobs")
-    return failures
+    return failures, len(fields) + len(hasse_primes)
 
 
 ALL_SUITES = (
@@ -471,11 +489,14 @@ def run_verify_all(scale, out=None):
     for name, fn in ALL_SUITES:
         start = time.perf_counter()
         try:
-            failures = fn(scale)
+            failures, cases = fn(scale)
+            if not cases:
+                failures = [*failures, "checked no cases"]
         except Exception as exc:
             # a suite that raises is a failed suite; the others still run
-            failures = [f"raised {type(exc).__name__}: {exc}"]
-        sys.stderr.write(f"{time.perf_counter() - start:.2f} s  {name}\n")
+            failures, cases = [f"raised {type(exc).__name__}: {exc}"], 0
+        sys.stderr.write(f"{time.perf_counter() - start:.2f} s  "
+                         f"{cases} cases  {name}\n")
         if failures:
             bad += 1
             lines.append(f"FAIL {name}: {failures[0]}")
@@ -584,7 +605,7 @@ def _resolve_values(args, parser):
             if args.p % 2 == 0 or field_of_order(args.p).n != 1:
                 parser.error(f"{args.p} is not an odd prime")
             return [args.p]
-        return _odd_primes(args.p_max)
+        return odd_primes(args.p_max)
     if cmd == "char2":
         if (args.n is None) == (args.n_max is None):
             parser.error("give exactly one of --n / --n-max")
@@ -597,6 +618,8 @@ def _resolve_values(args, parser):
             if not 0 <= args.beta < 2 ** lo:
                 parser.error(f"beta code {args.beta} is outside "
                              f"[0, {2 ** lo}) for n = {lo}")
+            # before the first field: GF(2^hi) must fit the cap too
+            check_cap(2 ** hi, args.cap, "char-2 table", f"GF(2^{hi})")
         return list(range(lo, hi + 1))
     if (args.q is None) == (args.q_max is None):
         parser.error("give exactly one of --q / --q-max")
@@ -606,16 +629,14 @@ def _resolve_values(args, parser):
     return list(odd_prime_powers(args.q_max))
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify-all":
-        return run_verify_all(args.scale, args.out)
+def _config(args, parser):
+    """The validated RunConfig of parsed arguments: every argument check,
+    and no sweep.  A usage error exits through `parser.error`; a range
+    over the enumeration cap raises EnumerationCapError."""
     try:
-        values = _resolve_values(args, parser)
         config = RunConfig(
             command=args.command,
-            values=values,
+            values=_resolve_values(args, parser),
             fmt=args.format,
             out=args.out,
             jobs=args.jobs,
@@ -625,17 +646,27 @@ def main(argv=None):
             beta=getattr(args, "beta", 0),
         )
         config.validate()
+    except EnumerationCapError:
+        raise
     except ValueError as exc:
         parser.error(str(exc))
+    return config
+
+
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify-all":
+        return run_verify_all(args.scale, args.out)
     try:
-        rows = _build_rows(config)
+        rows = _build_rows(_config(args, parser))
     except EnumerationCapError as exc:
         sys.stderr.write(f"range exceeds the enumeration cap: {exc}\n")
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"invariant failure: {exc}\n")
         return EXIT_INVARIANT
-    _emit(render(rows, config.fmt, config.command), config.out)
+    _emit(render(rows, args.format, args.command), args.out)
     return EXIT_OK
 
 

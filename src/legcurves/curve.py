@@ -14,6 +14,11 @@ lookup tables (extension fields add by Zech's logarithm):
 `Curve.points` order), `_chord_tangent` (the group law on (x, y)
 pairs, written once; `_ladder` multiplies) and `_double_x_codes`
 (x(2P) from x alone, for the 2-descent and four-torsion sweeps).
+The group structure comes from generators and the lattice of their
+relations: the multiples of each new generator are walked until they
+land in the span of the earlier ones, and the Smith form of the
+relation matrix gives the invariant factors (`_group_structure_codes`;
+a supersingular (d, d) group takes two walks and no enumeration).
 `Curve.add` and `Curve.multiply` run `_chord_tangent` on `Fe` elements
 of the monic model, (x, y) -> (d*x, d^2*y), so they build no table and
 work on every field the package builds; `verify_group_law` checks the
@@ -38,10 +43,10 @@ import random
 import sys
 from array import array
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd
 import operator
 
-from .field import Fe, _first_nonresidue, check_cap, check_hasse, prime_factors
+from .field import Fe, _first_nonresidue, check_cap, check_hasse
 
 
 class Point:
@@ -209,7 +214,10 @@ class Curve:
         return n
 
     def group_structure(self, cap=None):
-        """Invariant factors (d1, d2), d1 | d2, of the point group.
+        """Invariant factors (d1, d2), d1 | d2, of the point group: the
+        Smith form of the relation lattice of a few generators, found
+        by walking their multiples (`_group_structure_codes`), so no
+        point needs its own order.
 
         Works on the isomorphic monic model with integer element codes;
         the model change is a group isomorphism, so the factors carry
@@ -596,37 +604,102 @@ def _ladder(eadd, point, k):
 
 
 def _group_structure_codes(field, roots):
-    """(d1, d2) with the point group Z/d1 x Z/d2, d1 | d2.  Each point
-    order is found by a prime-power ladder: for l^a exactly dividing
-    #E, R = [#E/l^a]P is multiplied by l until it reaches infinity."""
+    """(d1, d2) with the point group Z/d1 x Z/d2, d1 | d2, from
+    generators and the lattice of their relations (Buchmann and
+    Schmidt, Math. Comp. 74 (2005)).  The span S of the generators found
+    so far is a dict from point to index, the generators' exponents in
+    mixed radix.  The next generator P is a point outside S; the walk
+    P, 2P, ... stops at the first j0 P in S, say on t, which gives the
+    relation j0 P = t.  These relations form a triangular matrix of
+    determinant |S|, so they span every relation, and the Smith form of
+    that matrix gives the invariant factors.  From P1 alone (S = {O})
+    the walk is the order o1 of P1; if o1 j0 = #E for the second point,
+    the group is (d1, #E/d1) with d1 = gcd(o1, t, j0).  Otherwise S is
+    enumerated coset by coset and the next point outside it follows.
+    Points with y != 0 go first, as (0, 0) has order 2.  A walk stops
+    with a raise once j0 |S| would pass #E, so a wrong law that cycles
+    outside S is caught, and so are overlapping cosets and points that
+    do not fill #E."""
     affine = _affine_codes(field, roots)
     eadd = _chord_tangent(field, roots)
     n = len(affine) + 1
-    ladders = []
-    for ell in prime_factors(n):
-        a = 0
-        while n % ell ** (a + 1) == 0:
-            a += 1
-        ladders.append((ell, a, n // ell ** a))
-    exponent = 1
-    for pt in affine:
-        o = 1
-        for ell, a, cofactor in ladders:
-            r = _ladder(eadd, pt, cofactor)
-            while r is not None:
-                if a == 0:
-                    raise RuntimeError(
-                        "a point order does not divide the group order")
-                r = _ladder(eadd, r, ell)
-                o *= ell
-                a -= 1
-        exponent = lcm(exponent, o)
-        if exponent == n:
+    span = {None: 0}
+    size = 1            # |<generators>|, the product of the radices
+    radices = []
+    relations = []
+    for pt in sorted(affine, key=lambda pt: pt[1] == 0):
+        if size == n:
             break
-    d1 = n // exponent
-    if exponent % d1:
-        raise RuntimeError("point orders are inconsistent with a group")
-    return (d1, exponent)
+        if pt in span:
+            continue
+        walk = [None]
+        r = pt
+        while r not in span:
+            if (len(walk) + 1) * size > n:
+                raise RuntimeError(
+                    "a point's multiples find no relation within the "
+                    "group order")
+            walk.append(r)
+            r = eadd(r, pt)
+        t = span[r]
+        row = []
+        for m in radices:
+            t, v = divmod(t, m)
+            row.append(-v)
+        relations.append(row + [len(walk)])
+        radices.append(len(walk))
+        if size * len(walk) < n:
+            span = {eadd(m, s): i + j * size
+                    for j, m in enumerate(walk) for s, i in span.items()}
+            if len(span) != size * len(walk):
+                raise RuntimeError("the cosets of a subgroup overlap")
+        size *= len(walk)
+    if size != n:
+        raise RuntimeError("the points do not fill the group order")
+    k = len(relations)
+    factors = [d for d in _smith_diagonal(
+        [row + [0] * (k - len(row)) for row in relations]) if d != 1]
+    if len(factors) > 2:
+        raise RuntimeError("the point group needs more than two generators")
+    d1, d2 = ([1, 1] + factors)[-2:]
+    if d2 % d1:
+        raise RuntimeError("invariant factors are inconsistent with a group")
+    return (d1, d2)
+
+
+def _smith_diagonal(a):
+    """The Smith form diagonal of a square nonsingular integer matrix
+    (a list of rows, reduced in place), each entry dividing the next
+    (Cohen, *A Course in Computational Algebraic Number Theory*, section
+    2.4.3).  Row and column steps with the least entry as pivot make a
+    diagonal; then (a, b) -> (gcd, lcm) on each pair, which keeps
+    Z/a x Z/b, orders it by divisibility."""
+    k = len(a)
+    diag = []
+    for i in range(k):
+        while True:
+            _, r, c = min((abs(a[r][c]), r, c) for r in range(i, k)
+                          for c in range(i, k) if a[r][c])
+            a[i], a[r] = a[r], a[i]
+            for row in a[i:]:
+                row[i], row[c] = row[c], row[i]
+            piv = a[i][i]
+            for row in a[i + 1:]:
+                f = row[i] // piv
+                for c in range(i, k):
+                    row[c] -= f * a[i][c]
+            for c in range(i + 1, k):
+                f = a[i][c] // piv
+                for row in a[i:]:
+                    row[c] -= f * row[i]
+            if not any(a[i][i + 1:]) and not any(row[i] for row in a[i + 1:]):
+                break
+        diag.append(abs(a[i][i]))
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 # ---------------------------------------------------------------------------

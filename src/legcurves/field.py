@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 MAX_CHARACTERISTIC = 1 << 20
@@ -679,12 +679,20 @@ def make_field(p, n=1):
     return _make_field(p, n)
 
 
+def odd_primes(limit):
+    """Ascending list of the odd primes p <= limit, by the sieve of
+    Eratosthenes: O(limit) bytes and no trial division."""
+    sieve = bytearray([1]) * (limit + 1)
+    for f in range(3, isqrt(max(limit, 0)) + 1, 2):
+        if sieve[f]:
+            sieve[f * f::2 * f] = bytes(len(range(f * f, limit + 1, 2 * f)))
+    return [p for p in range(3, limit + 1, 2) if sieve[p]]
+
+
 def odd_prime_powers(limit):
     """Ascending list of p^n <= limit with p an odd prime, n >= 1."""
     out = []
-    for p in range(3, limit + 1, 2):
-        if not _is_prime(p):
-            continue
+    for p in odd_primes(limit):
         q = p
         while q <= limit:
             out.append(q)

@@ -5,13 +5,14 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from legcurves import char2 as c2
 from legcurves import classify, cli
-from legcurves.field import DEFAULT_ENUMERATION_CAP
+from legcurves.field import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 
 
 def run_main(argv):
@@ -331,14 +332,16 @@ class TestVerifyAll:
         names = [name for name, _ in cli.ALL_SUITES]
         assert captured.out.splitlines() == (
             [f"ok   {name}" for name in names] + ["10/10 suites passed"])
-        timed = [re.fullmatch(r"(\d+\.\d\d) s  (.+)", line)
+        # time, then a positive case count, then the name
+        timed = [re.fullmatch(r"(\d+\.\d\d) s  ([1-9]\d*) cases  (.+)", line)
                  for line in captured.err.splitlines()]
         assert len(timed) == 10 and all(timed), captured.err
-        assert [m[2] for m in timed] == names
+        assert [m[3] for m in timed] == names
 
     def test_failure_exits_one(self, monkeypatch, capsys):
-        fake = (("always fine", lambda scale: []),
-                ("always broken", lambda scale: ["q=3: synthetic failure"]))
+        fake = (("always fine", lambda scale: ([], 1)),
+                ("always broken",
+                 lambda scale: (["q=3: synthetic failure"], 1)))
         monkeypatch.setattr(cli, "ALL_SUITES", fake)
         assert run_main(["verify-all", "--scale", "smoke"]) == 1
         out = capsys.readouterr().out
@@ -350,7 +353,7 @@ class TestVerifyAll:
         def boom(scale):
             raise RuntimeError("a point order does not divide the group order")
         fake = (("always raises", boom),
-                ("always fine", lambda scale: []))
+                ("always fine", lambda scale: ([], 1)))
         monkeypatch.setattr(cli, "ALL_SUITES", fake)
         assert run_main(["verify-all", "--scale", "smoke"]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -361,6 +364,20 @@ class TestVerifyAll:
             "1/2 suites passed",
         ]
 
+    def test_a_suite_that_checked_no_case_fails(self, monkeypatch, capsys):
+        # an empty range passes every check vacuously: it must not pass
+        fake = (("checks nothing", lambda scale: ([], 0)),
+                ("always fine", lambda scale: ([], 1)))
+        monkeypatch.setattr(cli, "ALL_SUITES", fake)
+        assert run_main(["verify-all", "--scale", "smoke"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "FAIL checks nothing: checked no cases",
+            "ok   always fine",
+            "1/2 suites passed",
+        ]
+        assert "0 cases  checks nothing" in captured.err
+
 
     # the paper claims that only the unit tests used to call: a wrong
     # claim must now fail its verify-all suite
@@ -368,7 +385,7 @@ class TestVerifyAll:
         # drops the (r+1)^2 exception for square q
         monkeypatch.setattr(classify, "predict_legendre_isogenous",
                             lambda q, n: n % 4 == 0)
-        failures = cli.suite_isogeny_window("smoke")
+        failures, _ = cli.suite_isogeny_window("smoke")
         assert any("q=9 N=4: the criterion predicts True" in msg
                    for msg in failures), failures
 
@@ -376,14 +393,116 @@ class TestVerifyAll:
         # ignores the trace of the twist
         monkeypatch.setattr(c2, "char2_is_isomorphic",
                             lambda e1, e2: e1.lam == e2.lam)
-        failures = cli.suite_char2("smoke")
+        failures, _ = cli.suite_char2("smoke")
         assert any("twist classes" in msg for msg in failures), failures[:3]
 
     def test_char2_suite_checks_the_odd_intersection(self, monkeypatch):
         monkeypatch.setattr(c2, "verify_odd_intersection",
                             lambda n, cap=None: n != 3)
-        assert cli.suite_char2("smoke") == [
-            "n=3: some trace intersection count is even"]
+        assert cli.suite_char2("smoke") == (
+            ["n=3: some trace intersection count is even"], 5)
+
+
+CAP = DEFAULT_ENUMERATION_CAP
+N_CAP = CAP.bit_length() - 1      # the largest n with 2^n <= CAP
+ANY_JOBS = (1, CAP, CAP + 1, 10 ** 18)
+
+# per command: numeric flag -> (the other arguments it runs with, the
+# flag's cap, the values it accepts among -1, 0, 1, cap, cap + 1 and
+# 10^18); every other value must be refused
+ARGUMENT_TABLE = {
+    "count": {"--q": ([], CAP, ()), "--lam": (["--q", "5"], CAP, ()),
+              "--jobs": (["--q", "5"], CAP, ANY_JOBS),
+              "--max-q": (["--q", "5"], CAP, (CAP,))},
+    **{command: {"--q": ([], CAP, ()), "--q-max": ([], CAP, (CAP,)),
+                 "--jobs": (["--q", "5"], CAP, ANY_JOBS),
+                 "--max-q": (["--q", "5"], CAP, (CAP,))}
+       for command in ("classify", "census", "stats")},
+    "supersingular": {"--p": ([], CAP, ()), "--p-max": ([], CAP, (CAP,)),
+                      "--jobs": (["--p", "5"], CAP, ANY_JOBS),
+                      # a cap below p^2 lists the row without roots
+                      "--max-q": (["--p", "5"], CAP, (0, 1, CAP))},
+    "char2": {"--n": ([], N_CAP, (1, N_CAP)),
+              "--n-max": ([], N_CAP, (1, N_CAP)),
+              "--beta": (["--n", "1"], CAP, (0, 1)),
+              "--jobs": (["--n", "1"], CAP, ANY_JOBS),
+              "--max-q": (["--n", "1"], CAP, (CAP,))},
+}
+ARGUMENT_TABLE["stats"]["--aux-cap"] = (["--q", "5"], CAP,
+                                        (0, 1, CAP, CAP + 1, 10 ** 18))
+
+
+class TestArgumentEdges:
+    @pytest.mark.parametrize("command", sorted(ARGUMENT_TABLE))
+    def test_every_numeric_flag_at_its_edges(self, command, capsys):
+        # a refused value exits 2 at once with nothing on stdout; an
+        # accepted one passes argument validation, and no sweep runs
+        parser = cli.build_parser()
+        for flag, (others, cap, valid) in ARGUMENT_TABLE[command].items():
+            for value in (-1, 0, 1, cap, cap + 1, 10 ** 18):
+                argv = [command, *others, flag, str(value)]
+                if value in valid:
+                    config = cli._config(parser.parse_args(argv), parser)
+                    assert config.values, argv
+                    continue
+                with pytest.raises((SystemExit, EnumerationCapError)):
+                    cli._config(parser.parse_args(argv), parser)
+                start = time.perf_counter()
+                try:
+                    code = run_main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                assert time.perf_counter() - start < 1, argv
+                assert code == 2, argv
+                assert capsys.readouterr().out == "", argv
+
+
+class FakePool:
+    """A stand-in for ProcessPoolExecutor that records its worker count
+    and maps in this process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestPool:
+    def test_workers_never_exceed_tasks_or_cores(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "started", [])
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        qs = [3, 5, 7, 9, 11, 13]
+        serial = cli._build_rows(cli.RunConfig("stats", qs))
+        for jobs, tasks, workers in ((100000, qs, 4), (100000, qs[:3], 3),
+                                     (2, qs, 2)):
+            rows = cli._build_rows(cli.RunConfig("stats", tasks, jobs=jobs))
+            assert rows == serial[:len(tasks)]
+            assert FakePool.started[-1] == workers
+        # an unknown core count gives one worker; one task, no pool
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        cli._build_rows(cli.RunConfig("stats", qs, jobs=100000))
+        cli._build_rows(cli.RunConfig("stats", [3], jobs=100000))
+        assert FakePool.started == [4, 3, 2, 1]
+
+    def test_the_cli_imports_no_pool_machinery(self):
+        # concurrent.futures loads only when a pool starts
+        code = ("import sys, legcurves.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd=Path(cli.__file__).resolve().parents[1])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestEntryPoint:

@@ -73,7 +73,7 @@ def naive_count(curve):
 def per_divisor_group_structure(field, roots):
     """Group structure with each point order found by testing [n/l]P
     anew for every prime l dividing the running order: the
-    reference for the prime-power ladder of `_group_structure_codes`."""
+    reference for the relation-lattice kernel `_group_structure_codes`."""
     affine = curve_module._affine_codes(field, roots)
     eadd = curve_module._chord_tangent(field, roots)
 
@@ -518,6 +518,93 @@ class TestGroupLaw:
             roots = (0, 1, f.code(lam))
             assert (curve_module._group_structure_codes(f, roots)
                     == per_divisor_group_structure(f, roots) == (32, 32))
+
+    # a broken law or point list must raise or change the answer, on the
+    # p = 31 curves (two walks) and every monic curve of F_13 (which
+    # also takes three and four generators)
+    MUTANT_CURVES = ([(F13, r) for r in itertools.combinations(range(13), 3)]
+                     + [(lams[0].field, (0, 1, lams[0].field.code(lam)))
+                        for lams in [supersingular_lambdas(31).roots]
+                        for lam in lams])
+
+    def _caught(self, monkeypatch, law=None, points=None):
+        """The curves of MUTANT_CURVES on which the kernel, with `law`
+        wrapping the chord-tangent law or `points` the point list,
+        returns the true answer; each other one raised or differed."""
+        true = {roots: curve_module._group_structure_codes(f, roots)
+                for f, roots in self.MUTANT_CURVES}
+        if law is not None:
+            chord_tangent = curve_module._chord_tangent
+            monkeypatch.setattr(curve_module, "_chord_tangent",
+                                lambda f, r: law(f, chord_tangent(f, r)))
+        if points is not None:
+            affine = curve_module._affine_codes
+            monkeypatch.setattr(curve_module, "_affine_codes",
+                                lambda f, r: points(affine(f, r)))
+        unchanged = []
+        for f, roots in self.MUTANT_CURVES:
+            try:
+                got = curve_module._group_structure_codes(f, roots)
+            except RuntimeError:
+                continue
+            if got == true[roots]:
+                unchanged.append(roots)
+        return unchanged
+
+    def test_a_perturbed_law_is_caught(self, monkeypatch):
+        def law(f, eadd):
+            neg = f._neg_codes()
+
+            def perturbed(p1, p2):
+                # a chord that lands on -(P + Q) instead of P + Q
+                r = eadd(p1, p2)
+                if None not in (p1, p2, r) and p1[0] != p2[0]:
+                    return (r[0], neg[r[1]])
+                return r
+            return perturbed
+        assert self._caught(monkeypatch, law=law) == []
+
+    @pytest.mark.parametrize("points", [lambda pts: pts[:-1],
+                                        lambda pts: pts + pts[-1:]],
+                             ids=["missing", "repeated"])
+    def test_a_wrong_point_list_is_caught(self, monkeypatch, points):
+        assert self._caught(monkeypatch, points=points) == []
+
+    def test_a_cycling_law_hits_the_walk_bound(self, monkeypatch):
+        # P + Q = Q: the multiples of a point never leave it and never
+        # reach infinity; the walk must stop with a raise, long before
+        # the law has been called 10 #E times
+        calls = itertools.count()
+
+        def law(p1, p2):
+            assert next(calls) < 10 * 1024, "the walk did not stop"
+            return p2
+        monkeypatch.setattr(curve_module, "_chord_tangent",
+                            lambda f, r: law)
+        f, roots = self.MUTANT_CURVES[-1]
+        with pytest.raises(RuntimeError, match="within the group order"):
+            curve_module._group_structure_codes(f, roots)
+
+    def test_a_group_of_rank_three_is_refused(self, monkeypatch):
+        # (Z/2)^3 as seven "points" under XOR: three generators of
+        # order 2, so three invariant factors
+        def law(p1, p2):
+            s = (p1 or (0, 0))[0] ^ (p2 or (0, 0))[0]
+            return (s, s) if s else None
+        monkeypatch.setattr(curve_module, "_affine_codes",
+                            lambda f, r: [(s, s) for s in range(1, 8)])
+        monkeypatch.setattr(curve_module, "_chord_tangent",
+                            lambda f, r: law)
+        with pytest.raises(RuntimeError, match="more than two generators"):
+            curve_module._group_structure_codes(F13, (0, 1, 2))
+
+    def test_smith_diagonal(self):
+        smith = curve_module._smith_diagonal
+        assert smith([[32, 0], [-5, 32]]) == [1, 1024]
+        assert smith([[32, 0], [-16, 32]]) == [16, 64]
+        assert smith([[2, 0, 0], [0, 4, 0], [-1, -2, 2]]) == [1, 4, 4]
+        assert smith([[2, 0, 0], [0, 4, 0], [-1, -1, 2]]) == [1, 2, 8]
+        assert smith([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
 
     @pytest.mark.parametrize("field", [F7, F9, F25, F27],
                              ids=lambda f: f"q{f.q}")
