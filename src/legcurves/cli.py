@@ -309,24 +309,30 @@ def suite_count_sum(scale="full"):
     return failures, len(qs)
 
 
+def _replay(p):
+    """The tail of a supersingular failure string: the command that
+    rebuilds and re-checks the table for p."""
+    return f"; replay: legcurves supersingular --p {p}"
+
+
 def suite_supersingular_roots(scale="full"):
-    primes = odd_primes(200 if scale == "full" else 61)
+    primes = odd_primes(300 if scale == "full" else 61)
     failures = []
     for p in primes:
         t = supersingular.supersingular_lambdas(p)
         if len(t.roots) != (p - 1) // 2:
             failures.append(f"p={p}: expected {(p - 1) // 2} supersingular "
-                            f"lambdas, found {len(t.roots)}")
+                            f"lambdas, found {len(t.roots)}{_replay(p)}")
         if not supersingular.verify_eighth_power(p):
             failures.append(f"p={p}: negated supersingular lambdas are not "
-                            f"all eighth powers")
+                            f"all eighth powers{_replay(p)}")
     return failures, len(primes)
 
 
 def suite_root_count_formula(scale="full"):
     primes = odd_primes(500 if scale == "full" else 100)
     return [f"p={p}: prime-field root count deviates from the "
-            f"class-number dispatch"
+            f"class-number dispatch{_replay(p)}"
             for p in primes
             if not supersingular.verify_sp_formula(p)], len(primes)
 
@@ -334,7 +340,7 @@ def suite_root_count_formula(scale="full"):
 def suite_supersingular_structure(scale="full"):
     primes = odd_primes(43 if scale == "full" else 13)
     return [f"p={p}: some supersingular group is not the expected square "
-            f"of a cyclic factor"
+            f"of a cyclic factor{_replay(p)}"
             for p in primes
             if not supersingular.verify_ss_structure(p)], len(primes)
 

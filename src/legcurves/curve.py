@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
-from array import array
 from functools import lru_cache
 from math import comb, gcd
 import operator
 
-from .field import Fe, _first_nonresidue, check_cap, check_hasse
+from .field import (Fe, _first_nonresidue, _pack, _unpack, check_cap,
+                    check_hasse)
 
 
 class Point:
@@ -377,10 +376,6 @@ def legendre_count_table(field, cap=None):
 # integer-code engine shared by the exhaustive sweeps
 
 
-def _packed(slots):
-    return int.from_bytes(array("I", slots), sys.byteorder)
-
-
 def _correlate(a, c):
     """r[l] = sum over k of a[k] * c[(k + l) mod m] for every l, where
     m = len(a) = len(c) and each c[j] is in {-1, 0, 1}, from one exact
@@ -397,8 +392,8 @@ def _correlate(a, c):
     bias = sum(a)
     if 2 * bias >> 32:
         raise ValueError("weights too large for 32-bit slots")
-    prod = _packed(a[:1] + a[:0:-1]) * _packed([x + 1 for x in c])
-    slots = array("I", prod.to_bytes(8 * m, sys.byteorder)).tolist()
+    prod = _pack(a[:1] + a[:0:-1], "I") * _pack([x + 1 for x in c], "I")
+    slots = _unpack(prod, 2 * m, "I").tolist()
     bias -= floor * sum(c)
     return [s + t - bias for s, t in zip(slots[:m], slots[m:])]
 
@@ -553,7 +548,7 @@ def _chord_tangent(field, roots, arith=None):
     None for infinity.  Coordinates are element codes with the field's
     lookup tables, or the elements of `arith` = (add, sub, mul, inverse,
     negation), the last two read by index.  A pair with x1 == x2 that is
-    not P, -P is taken as P, P, so callers pass points of the curve."""
+    not P, -P holds a point off the curve, and raises RuntimeError."""
     if arith is None:
         arith = (field._add_func(), field._sub_func(), field._mul_func(),
                  field._inv_codes(), field._neg_codes())
@@ -573,6 +568,10 @@ def _chord_tangent(field, roots, arith=None):
         if x1 == x2:
             if y1 == neg[y2]:
                 return None
+            if y1 != y2:
+                raise RuntimeError(
+                    f"({x1}, {y1}) and ({x2}, {y2}) share x but are neither "
+                    f"equal nor opposite: one is not on the curve")
             x1s = mul(x1, x1)
             fp = add(sub(add(add(x1s, x1s), x1s), mul(twos1, x1)), s2)
             m = mul(fp, inv[add(y1, y1)])

@@ -80,7 +80,7 @@ def test_criterion_04_supersingular_roots():
     failures = _run(cli.suite_supersingular_roots)
     if len(supersingular.supersingular_lambdas(199).roots) != 99:
         failures.append("p=199: root count is not (p-1)/2")
-    _gate(4, "supersingular roots and eighth powers, p <= 200", failures)
+    _gate(4, "supersingular roots and eighth powers, p <= 300", failures)
 
 
 def test_criterion_05_root_count_formula():

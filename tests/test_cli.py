@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from legcurves import char2 as c2
-from legcurves import classify, cli
+from legcurves import classify, cli, supersingular
 from legcurves.field import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 
 
@@ -395,6 +396,35 @@ class TestVerifyAll:
                             lambda e1, e2: e1.lam == e2.lam)
         failures, _ = cli.suite_char2("smoke")
         assert any("twist classes" in msg for msg in failures), failures[:3]
+
+    # each supersingular check made to fail on every p: suite, the
+    # function of `supersingular` it reads, and the broken version
+    SS_MUTANTS = {
+        "roots": (cli.suite_supersingular_roots, "supersingular_lambdas",
+                  lambda real: lambda p: dataclasses.replace(
+                      real(p), roots=real(p).roots[1:])),
+        "eighth": (cli.suite_supersingular_roots, "verify_eighth_power",
+                   lambda real: lambda p: False),
+        "formula": (cli.suite_root_count_formula, "verify_sp_formula",
+                    lambda real: lambda p: False),
+        "structure": (cli.suite_supersingular_structure,
+                      "verify_ss_structure", lambda real: lambda p: False),
+    }
+
+    @pytest.mark.parametrize("mutant", SS_MUTANTS)
+    def test_supersingular_failures_end_with_their_replay(self, monkeypatch,
+                                                          capsys, mutant):
+        suite, name, broken = self.SS_MUTANTS[mutant]
+        monkeypatch.setattr(supersingular, name,
+                            broken(getattr(supersingular, name)))
+        failures, cases = suite("smoke")
+        assert len(failures) == cases > 0
+        replay = r"p=(\d+): .+; replay: legcurves supersingular --p (\d+)"
+        found = [re.fullmatch(replay, msg) for msg in failures]
+        assert all(m and m[1] == m[2] for m in found), failures[:3]
+        monkeypatch.undo()
+        assert run_main(["supersingular", "--p", found[-1][2]]) == 0
+        assert f'"p": {found[-1][2]}' in capsys.readouterr().out
 
     def test_char2_suite_checks_the_odd_intersection(self, monkeypatch):
         monkeypatch.setattr(c2, "verify_odd_intersection",

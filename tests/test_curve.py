@@ -440,13 +440,13 @@ class TestShiftSums:
     # F_q (prime) or F_q^* (extension)
     @pytest.mark.parametrize("q", [729, 2187, 2609], ids=lambda q: f"q{q}")
     def test_packed_operands_hold_at_most_q_slots(self, q, monkeypatch):
-        real = curve_module._packed
+        real = curve_module._pack
         sizes = []
 
-        def spy(slots):
+        def spy(slots, code):
             sizes.append(len(slots))
-            return real(slots)
-        monkeypatch.setattr(curve_module, "_packed", spy)
+            return real(slots, code)
+        monkeypatch.setattr(curve_module, "_pack", spy)
         legendre_count_table(field_of_order(q))
         assert sizes and max(sizes) <= q
 
@@ -504,13 +504,13 @@ class TestGroupLaw:
 
     @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27],
                              ids=lambda q: f"q{q}")
-    def test_ladder_matches_per_divisor_loop(self, q):
+    def test_lattice_matches_per_divisor_loop(self, q):
         f = field_of_order(q)
         for roots in itertools.combinations(range(q), 3):
             assert (curve_module._group_structure_codes(f, roots)
                     == per_divisor_group_structure(f, roots)), roots
 
-    def test_ladder_on_supersingular_curves(self):
+    def test_lattice_on_supersingular_curves(self):
         lams = supersingular_lambdas(31).roots
         assert len(lams) == 15
         f = lams[0].field
@@ -563,6 +563,44 @@ class TestGroupLaw:
                 return r
             return perturbed
         assert self._caught(monkeypatch, law=law) == []
+
+    def test_an_off_curve_point_is_named(self, monkeypatch):
+        # x(P + Q) shifted by 1 on the F_13 curves: an off-curve point
+        # reaches the law beside a point with its x, and the law names
+        # both instead of reading the missing inverse of 0
+        def law(f, eadd):
+            def shifted(p1, p2):
+                r = eadd(p1, p2)
+                if None not in (p1, p2, r) and p1[0] != p2[0]:
+                    return ((r[0] + 1) % f.p, r[1])
+                return r
+            return shifted
+        chord_tangent = curve_module._chord_tangent
+        monkeypatch.setattr(curve_module, "_chord_tangent",
+                            lambda f, r: law(f, chord_tangent(f, r)))
+        named = r"\(\d+, \d+\) and \(\d+, \d+\) share x but are neither"
+        with pytest.raises(RuntimeError, match=named):
+            # lambda = 6 read the inverse of 0 and raised TypeError
+            curve_module._group_structure_codes(F13, (0, 1, 6))
+        # and no curve of F_13 fails with anything but a RuntimeError
+        for roots in itertools.combinations(range(13), 3):
+            try:
+                curve_module._group_structure_codes(F13, roots)
+            except RuntimeError:
+                pass
+
+    @pytest.mark.parametrize("arith", [None, curve_module._FE_ARITH],
+                             ids=["codes", "fe"])
+    def test_same_x_other_y_raises(self, arith):
+        # (3, 1) is on y^2 = x(x - 1)(x - 5) over F_13, (3, 5) is not
+        f = F13
+        pts = [(3, 1), (3, 5)] if arith is None else [
+            (f(3), f(1)), (f(3), f(5))]
+        eadd = curve_module._chord_tangent(f, (0, 1, 5) if arith is None
+                                           else (f(0), f(1), f(5)), arith)
+        with pytest.raises(RuntimeError, match="neither equal nor opposite"):
+            eadd(*pts)
+        assert eadd(pts[0], pts[0]) is not None
 
     @pytest.mark.parametrize("points", [lambda pts: pts[:-1],
                                         lambda pts: pts + pts[-1:]],

@@ -1,14 +1,18 @@
 """Polynomial arithmetic, the supersingularity polynomial, root finding."""
 
+import hashlib
 import random
 
 import pytest
 
+from legcurves import field as field_module
 from legcurves.field import (
+    _barrett_mulmod,
     _is_irreducible,
     _pdivmod,
     _pgcd,
     _pmulmod,
+    _ppowmod,
     _psub,
     _ptrim,
     make_field,
@@ -21,6 +25,7 @@ from legcurves.poly import (
     quadratic_factors,
     substitute_neg,
 )
+from legcurves.supersingular import _prime_field_roots
 
 ODD_PRIMES_200 = [p for p in range(3, 200, 2)
                   if all(p % f for f in range(3, p, 2))]
@@ -281,3 +286,120 @@ def test_quadratic_factors_rejects_what_is_not_a_quadratic_product():
     quartic = next(monic_irreducibles(7, 4))
     with pytest.raises(RuntimeError, match="degree-4 factor"):
         quadratic_factors(quartic, 7, [], rng)
+
+
+# ---------------------------------------------------------------------------
+# the packed product of long powers against the schoolbook `_pmulmod`
+
+def schoolbook_pow(a, e, f, p):
+    """a^e mod f by repeated squaring on `_pmulmod`: the reference for
+    the packed path of `_ppowmod`."""
+    result, base = [1], list(a)
+    while e:
+        if e & 1:
+            result = _pmulmod(result, base, f, p)
+        base = _pmulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def random_monic(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 163, 1021])
+def test_barrett_product_matches_schoolbook(p):
+    # every degree up to 20, on both sides of the crossover, and two
+    # large ones; every other modulus has zero low coefficients, and
+    # all-(p - 1) operands fill the slots most
+    rng = random.Random(p)
+    for df in [*range(1, 21), 81, 200]:
+        for trial in range(4 if df < 81 else 1):
+            f = random_monic(rng, p, df)
+            if trial % 2 == 0:
+                f[:min(3, df)] = [0] * min(3, df)
+            mul = _barrett_mulmod(f, p)
+            top = [p - 1] * df
+            assert mul(top, top) == _pmulmod(top, top, f, p), (p, f)
+            for _ in range(4):
+                a, b = random_list(rng, p, df + 1), random_list(rng, p, df + 1)
+                assert mul(a, b) == _pmulmod(a, b, f, p), (p, f, a, b)
+                assert mul(a, a) == _pmulmod(a, a, f, p), (p, f, a)
+
+
+@pytest.mark.parametrize("p", [5, 199])
+def test_barrett_product_modulo_a_monomial(p):
+    # x^64, the modulus of `plain_product`: rev(f) = 1, so the Newton
+    # inverse is 1, and products of 64 or more terms wrap
+    f = [0] * 64 + [1]
+    mul = _barrett_mulmod(f, p)
+    rng = random.Random(p)
+    for top in (8, 33, 65):
+        for _ in range(10):
+            a, b = random_list(rng, p, top), random_list(rng, p, top)
+            assert mul(a, b) == _pmulmod(a, b, f, p)
+
+
+@pytest.mark.parametrize("p, below", [(2, 12), (3, 9), (31, 6), (1021, 6)])
+def test_ppowmod_takes_the_packed_path_from_the_crossover(p, below,
+                                                          monkeypatch):
+    # the crossover degree moves with p (`_PACKED_MIN_TERMS`), and an
+    # exponent of fewer than 8 bits stays on the schoolbook
+    built = []
+    real = field_module._barrett_mulmod
+    monkeypatch.setattr(field_module, "_barrett_mulmod",
+                        lambda f, p: built.append(len(f) - 1) or real(f, p))
+    rng = random.Random(p)
+    for df, e in [(below, 0xb5e3), (below + 1, 0x7f), (below + 1, 0xb5e3),
+                  (below + 1, 0), (below + 1, 1)]:
+        f = random_monic(rng, p, df)
+        a = random_list(rng, p, df + 1)
+        assert _ppowmod(a, e, f, p) == schoolbook_pow(a, e, f, p), (df, e)
+    assert built == [below + 1]
+
+
+@pytest.mark.parametrize("p", [3, 31, 1021])
+def test_ppowmod_packed_path_reduces_long_and_unreduced_operands(p):
+    rng = random.Random(p)
+    f = random_monic(rng, p, 20)
+    for length in (21, 40, 47):
+        a = [rng.randrange(-p, 3 * p) for _ in range(length)]
+        for e in (0x80, 0xb5e3, p * p):
+            assert _ppowmod(a, e, f, p) == schoolbook_pow(a, e, f, p)
+    assert _ppowmod(f, 0x80, f, p) == []
+
+
+def test_pow_x_mod_falls_back_where_slots_would_overflow(monkeypatch):
+    # degree 8: 8 (p - 1)^2 passes 2^64 at p = 2^31 - 1 and stays
+    # below it at 2^30 - 35, the largest prime below 2^30
+    built = []
+    real = field_module._barrett_mulmod
+    monkeypatch.setattr(field_module, "_barrett_mulmod",
+                        lambda f, p: built.append(p) or real(f, p))
+    f = [3, 1, 4, 1, 5, 9, 2, 6, 1]
+    for p in (2 ** 31 - 1, 2 ** 30 - 35):
+        assert pow_x_mod(f, p, p * p) == schoolbook_pow([0, 1], p * p, f, p)
+    assert built == [2 ** 30 - 35]
+
+
+# taken from the schoolbook kernel before the packed path: the number
+# of F_p roots, and the SHA-256 of the sorted quadratic factors
+SCHOOLBOOK_ROOT_TABLES = {
+    1019: (39, "8452abeea44463cab9a16caaa1209fcf"
+               "31671b6fcab56b3ad1f9db81f5e49160"),
+    1021: (0, "10082d5e0b5eed68d6858a4d5a977f84"
+              "3c44f3517fa6ea9a329d7ff0a750f5de"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(SCHOOLBOOK_ROOT_TABLES))
+def test_root_tables_near_1021_match_the_schoolbook_kernel(p):
+    count, digest = SCHOOLBOOK_ROOT_TABLES[p]
+    d = deuring(p)
+    assert distinct_root_count(d, p, p * p) == (p - 1) // 2
+    assert distinct_root_count(d, p, p) == count
+    roots = _prime_field_roots(d, p)
+    assert len(roots) == count
+    quads = quadratic_factors(d, p, roots, random.Random(p))
+    assert len(quads) == (p - 1 - 2 * count) // 4
+    assert hashlib.sha256(repr(sorted(quads)).encode()).hexdigest() == digest
