@@ -212,17 +212,20 @@ def verify_char2_prop(n):
         # literal per-(beta, lambda) sweep, including the twist sum
         for lc in range(1, q):
             lam = f.from_code(lc)
-            counts = {}
+            by_trace = (set(), set())
             for bc in range(q):
-                e = Char2Curve(f, f.from_code(bc), lam)
-                counts[bc] = char2_count(e)
-                if (counts[bc] % 4 == 0) != ((bc & mask).bit_count() % 2 == 0):
+                count = char2_count(Char2Curve(f, f.from_code(bc), lam))
+                t = (bc & mask).bit_count() % 2
+                if (count % 4 == 0) != (t == 0):
                     return False
-            for bc in range(q):
-                for ac in range(1, q):
-                    if ((ac & mask).bit_count() % 2
-                            and counts[bc] + counts[bc ^ ac] != 2 * q + 2):
-                        return False
+                by_trace[t].add(count)
+            # beta + alpha with Tr(alpha) = 1 runs over the other trace
+            # class, and both classes are nonempty: every such twist pair
+            # sums to 2q + 2 exactly when each class has one count and
+            # the two counts sum to 2q + 2
+            if ([len(c) for c in by_trace] != [1, 1]
+                    or by_trace[0].pop() + by_trace[1].pop() != 2 * q + 2):
+                return False
     return True
 
 

@@ -2,19 +2,22 @@
 
 Every command builds a list of row dicts with a fixed key order, then
 renders them as JSON (one top-level array) or CSV (header row, plain
-comma separation).  Work is split across processes only at the level of
-whole field sizes and merged back in submission order, so output bytes
-never depend on --jobs.
+comma separation).  JSON is rendered from one row template per key
+order, with each repeated value object rendered once, and its bytes are
+those of `json.dumps(rows, indent=2, ensure_ascii=False)`.  Work is
+split across processes only at the level of whole field sizes and
+merged back in submission order, so output bytes never depend on
+--jobs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_str
 
 from . import char2 as c2
 from . import classify, stats, supersingular
@@ -104,11 +107,12 @@ def _count_rows(task):
     f = field_of_order(q)
     table = legendre_count_table(f, cap)
     codes = lam_codes if lam_codes else sorted(table)
+    modulus = list(f.modulus)   # one object: the renderer encodes it once
     rows = []
     for lc in codes:
         if lc not in table:
             raise ValueError(f"lambda code {lc} is not admissible over F_{q}")
-        rows.append({"p": f.p, "n": f.n, "modulus": list(f.modulus),
+        rows.append({"p": f.p, "n": f.n, "modulus": modulus,
                      "lambda": lc, "count": table[lc]})
     return rows
 
@@ -166,6 +170,9 @@ def _supersingular_rows(task):
     if t.prime_field_roots != sorted(t.prime_field_roots) or \
             len(t.prime_field_roots) != count:
         raise RuntimeError(f"prime-field root scan mismatch at p={p}")
+    if len(t.roots) != (p - 1) // 2:
+        raise RuntimeError(f"expected {(p - 1) // 2} supersingular lambdas "
+                           f"at p={p}, found {len(t.roots)}")
     return [row]
 
 
@@ -251,9 +258,79 @@ def _csv_cell(value):
     return str(value)
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, depth):
+    """The text `json.dumps(indent=2, ensure_ascii=False)` gives a value
+    nested `depth` levels deep."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_WORDS.get(text, text)
+    inner = "\n" + "  " * (depth + 1)
+    close = inner[:-2]
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            [_json_text(v, depth + 1) for v in value]) + close + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [f"{_json_str(k)}: {_json_text(v, depth + 1)}"
+             for k, v in value.items()]) + close + "}")
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+def _row_template(keys):
+    """A %-template of one row with these keys, at depth 1 of the array:
+    each value goes in as its text."""
+    if not keys:
+        return "  {}"
+    return "  {\n" + ",\n".join(
+        f"    {_json_str(k).replace('%', '%%')}: %s" for k in keys) + "\n  }"
+
+
+def _render_json(rows):
+    """`json.dumps(rows, indent=2, ensure_ascii=False) + "\\n"` for a
+    list of row dicts."""
+    if not rows:
+        return "[]\n"
+    templates = {}
+    texts = {}      # id -> text; the rows keep every value alive meanwhile
+    parts = []
+    for row in rows:
+        keys = tuple(row)
+        template = templates.get(keys)
+        if template is None:
+            template = templates[keys] = _row_template(keys)
+        values = []
+        for v in row.values():
+            if type(v) is not int:      # bool is an int subclass: not here
+                text = texts.get(id(v))
+                if text is None:
+                    text = texts[id(v)] = _json_text(v, 2)
+                v = text
+            values.append(v)
+        parts.append(template % tuple(values))
+    return "[\n" + ",\n".join(parts) + "\n]\n"
+
+
 def render(rows, fmt, command):
     if fmt == "json":
-        return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
+        return _render_json(rows)
     columns = _CSV_COLUMNS[command]
     lines = [",".join(columns)]
     for row in rows:
@@ -309,10 +386,14 @@ def suite_count_sum(scale="full"):
     return failures, len(qs)
 
 
-def _replay(p):
+def _replay(p, check=None):
     """The tail of a supersingular failure string: the command that
-    rebuilds and re-checks the table for p."""
-    return f"; replay: legcurves supersingular --p {p}"
+    reproduces it.  That is the call `supersingular.<check>(p)` when a
+    check is named, else the table build for p, which checks the roots."""
+    if check is None:
+        return f"; replay: legcurves supersingular --p {p}"
+    return (f'; replay: python -c "from legcurves.supersingular import '
+            f'{check}; raise SystemExit(not {check}({p}))"')
 
 
 def suite_supersingular_roots(scale="full"):
@@ -325,14 +406,15 @@ def suite_supersingular_roots(scale="full"):
                             f"lambdas, found {len(t.roots)}{_replay(p)}")
         if not supersingular.verify_eighth_power(p):
             failures.append(f"p={p}: negated supersingular lambdas are not "
-                            f"all eighth powers{_replay(p)}")
+                            f"all eighth powers"
+                            f"{_replay(p, 'verify_eighth_power')}")
     return failures, len(primes)
 
 
 def suite_root_count_formula(scale="full"):
     primes = odd_primes(500 if scale == "full" else 100)
     return [f"p={p}: prime-field root count deviates from the "
-            f"class-number dispatch{_replay(p)}"
+            f"class-number dispatch{_replay(p, 'verify_sp_formula')}"
             for p in primes
             if not supersingular.verify_sp_formula(p)], len(primes)
 
@@ -340,7 +422,7 @@ def suite_root_count_formula(scale="full"):
 def suite_supersingular_structure(scale="full"):
     primes = odd_primes(43 if scale == "full" else 13)
     return [f"p={p}: some supersingular group is not the expected square "
-            f"of a cyclic factor{_replay(p)}"
+            f"of a cyclic factor{_replay(p, 'verify_ss_structure')}"
             for p in primes
             if not supersingular.verify_ss_structure(p)], len(primes)
 

@@ -281,6 +281,18 @@ class TestVerify:
     def test_prop_with_literal_sweep(self, n):
         assert verify_char2_prop(n)
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_twist_sum_off_by_four_is_caught(self, monkeypatch, n):
+        # + 4 keeps the count's class mod 4: only the twist sum sees it
+        assert verify_char2_prop(n)
+        f = make_field(2, n)
+        beta, lam = f.from_code(3), f.from_code(5)
+        real = c2.char2_count
+        monkeypatch.setattr(
+            c2, "char2_count", lambda e, cap=None: real(e, cap)
+            + 4 * (e.beta == beta and e.lam == lam))
+        assert not verify_char2_prop(n)
+
     @pytest.mark.parametrize("n", [7, 8])
     def test_prop_shared_path(self, n):
         assert verify_char2_prop(n)

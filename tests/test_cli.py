@@ -277,6 +277,14 @@ GOLDEN_DIGESTS = [
      "e44efcf5b0ba01e169ae0212b890fa023c42d6bd8dc66c3cab5e5c94c5bae9c2"),
     ("stats --q 343", "csv",
      "9263956a94d2e923b6ff564b0510dd2a39dfff168ebb39a7ae4f71e8a76330a6"),
+    # the benchmark's other JSON tables, taken while JSON was still
+    # rendered by json.dumps(indent=2)
+    ("count --q 1369", "json",
+     "3dc8594f9ec4539de82e199907ddc53f803c75696f64a27c1ee67f300a7d9b86"),
+    ("count --q 3433", "json",
+     "c2a33bc808832ecca5d6814b2b285a8485f561dc2aae7f884e6d319bd4eb6ab5"),
+    ("classify --q 1013", "json",
+     "e053e53645a8a9f79a01659ca9eb23e25e6f87f6a29ee61030b24a7a26b36dfd"),
 ]
 
 
@@ -299,6 +307,65 @@ def test_golden_bytes(command, fmt, digest, capsys):
     assert run_main(command.split() + ["--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def reference_json(rows):
+    """What the JSON renderer must reproduce byte for byte."""
+    return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestJsonRenderer:
+    @pytest.mark.parametrize("argv", [
+        "count --q 27", "count --q 9 --lam 3 --lam 2", "count --q 13",
+        "classify --q-max 25", "census --q-max 50",
+        "supersingular --p-max 31", "supersingular --p-max 31 --max-q 100",
+        "stats --q-max 25", "char2 --n-max 3", "char2 --n 3 --beta 1",
+    ])
+    def test_every_command_matches_the_reference(self, argv):
+        parser = cli.build_parser()
+        config = cli._config(parser.parse_args(argv.split()), parser)
+        rows = cli._build_rows(config)
+        assert rows
+        assert cli.render(rows, "json", config.command) == \
+            reference_json(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [{}],
+        [{}, {"a": 1}, {}],
+        [{"empty_list": [], "empty_dict": {}, "nested": [[], [[]], {}]}],
+        [{"lists": [[1, 2], [3, [4, 5]], []], "dict": {"k": [1, {"j": {}}]}}],
+        [{"none": None, "yes": True, "no": False, "zero": 0}],
+        [{"neg": -7, "huge": 10 ** 100, "neg_huge": -(2 ** 70)}],
+        [{"reference_density": 2.0, "third": 1 / 3, "tiny": 5e-324,
+          "big": 1e300, "neg": -0.0}],
+        [{"nan": float("nan"), "inf": float("inf"),
+          "ninf": float("-inf")}],
+        [{"s": 'quote " backslash \\ percent % %s %% newline \n tab \t',
+          "u": "λ = 𝔽_q, naïve \u2028 \x00 \x7f"}],
+        [{'key "quoted"': 1, "per%cent": 2, "%s": 3, "%%": "%d",
+          "λ": 4, "new\nline": 5, "": 6}],
+        [{"tuple": (1, (2, 3)), "bool_list": [True, False, None]}],
+    ], ids=["empty", "empty-row", "empty-rows-mixed", "empty-values",
+            "nested", "singletons", "big-ints", "floats", "float-words",
+            "strings", "keys", "tuples"])
+    def test_edge_rows_match_the_reference(self, rows):
+        assert cli.render(rows, "json", "count") == reference_json(rows)
+
+    def test_a_shared_value_renders_in_every_row(self):
+        shared = [3, [1, 0, 2], {"a": None}, "s"]
+        rows = [{"p": 3, "n": 2, "modulus": shared, "lambda": lc,
+                 "other": shared[1]} for lc in range(2, 40)]
+        assert cli.render(rows, "json", "count") == reference_json(rows)
+
+    def test_two_key_orders_in_one_list(self):
+        rows = [{"a": 1, "b": [2]}, {"b": [2], "a": 1}, {"a": 1, "b": [2]},
+                {"a": 1}, {"b": True, "a": "x", "c": None}]
+        assert cli.render(rows, "json", "count") == reference_json(rows)
+
+    def test_an_unknown_value_type_raises(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli.render([{"a": object()}], "json", "count")
 
 
 class TestDeterminism:
@@ -411,20 +478,43 @@ class TestVerifyAll:
                       "verify_ss_structure", lambda real: lambda p: False),
     }
 
+    @staticmethod
+    def _replay_status(replay):
+        """Exit status of a replay run in this process, where it sees
+        the monkeypatched module."""
+        if replay.startswith("legcurves "):
+            return run_main(replay.split()[1:])
+        code = re.fullmatch(r'python -c "(.+)"', replay)[1]
+        try:
+            exec(code, {})
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        return 0
+
     @pytest.mark.parametrize("mutant", SS_MUTANTS)
     def test_supersingular_failures_end_with_their_replay(self, monkeypatch,
                                                           capsys, mutant):
         suite, name, broken = self.SS_MUTANTS[mutant]
         monkeypatch.setattr(supersingular, name,
                             broken(getattr(supersingular, name)))
+        # a failed check replays as a call of that check
+        replay = ("legcurves supersingular --p {p}" if mutant == "roots" else
+                  f'python -c "from legcurves.supersingular import {name}; '
+                  f'raise SystemExit(not {name}({{p}}))"')
         failures, cases = suite("smoke")
         assert len(failures) == cases > 0
-        replay = r"p=(\d+): .+; replay: legcurves supersingular --p (\d+)"
-        found = [re.fullmatch(replay, msg) for msg in failures]
-        assert all(m and m[1] == m[2] for m in found), failures[:3]
+        found = [re.fullmatch(r"p=(\d+): .+; replay: (.+)", msg)
+                 for msg in failures]
+        assert all(m and m[2] == replay.format(p=m[1]) for m in found), \
+            failures[:3]
+        last = found[-1][2]
+        # the replay reproduces the failure while the mutant is in place
+        assert self._replay_status(last) == 1
         monkeypatch.undo()
-        assert run_main(["supersingular", "--p", found[-1][2]]) == 0
-        assert f'"p": {found[-1][2]}' in capsys.readouterr().out
+        capsys.readouterr()
+        assert self._replay_status(last) == 0
+        if mutant == "roots":
+            assert f'"p": {found[-1][1]}' in capsys.readouterr().out
 
     def test_char2_suite_checks_the_odd_intersection(self, monkeypatch):
         monkeypatch.setattr(c2, "verify_odd_intersection",
